@@ -1,14 +1,13 @@
 // Command pacebench is the benchmark harness CLI: it runs declarative
 // suites (datasets × models × attack methods × fault profiles × codecs)
 // against in-process worlds or a live fleet, appends every cell to a
-// unified BENCH.json trajectory, imports the legacy per-PR bench files
-// into that trajectory, and gates on regressions between two
+// unified BENCH.json trajectory, and gates on regressions between two
 // trajectories.
 //
 //	pacebench run -suite smoke -out BENCH.json
 //	pacebench run -suite quick -target-url http://127.0.0.1:8650 -out BENCH.json
 //	pacebench run -suite-file my-suite.json -out BENCH.json
-//	pacebench -import BENCH_parallel.json -import BENCH_remote.json -out BENCH.json
+//	pacebench -validate BENCH.json
 //	pacebench -compare old.json new.json -tolerance 10%
 //
 // Exit codes: 0 success / gate passed, 1 regression or runtime failure,
@@ -96,20 +95,17 @@ func runMain(args []string) {
 	fmt.Printf("appended %d records to %s\n", len(recs), *out)
 }
 
-// gateMain is the default mode: -import converts legacy files, -compare
+// gateMain is the default mode: -validate checks a trajectory, -compare
 // gates new against old.
 func gateMain(args []string) {
 	fs := flag.NewFlagSet("pacebench", flag.ExitOnError)
-	var imports multiFlag
 	var (
 		compare      = fs.Bool("compare", false, "compare two trajectories: pacebench -compare old.json new.json")
 		tolerance    = fs.String("tolerance", "10%", "gate tolerance for both speed and efficacy (e.g. 10%, 0.25, none)")
 		speedTol     = fs.String("speed-tolerance", "", "override the speed tolerance only")
 		efficacyTol  = fs.String("efficacy-tolerance", "", "override the efficacy tolerance only")
-		out          = fs.String("out", "BENCH.json", "trajectory file -import appends to")
 		validatePath = fs.String("validate", "", "validate a trajectory file and exit")
 	)
-	fs.Var(&imports, "import", "legacy bench file to convert into -out (repeatable)")
 	positional := parseInterleaved(fs, args)
 
 	switch {
@@ -121,22 +117,6 @@ func gateMain(args []string) {
 		}
 		fmt.Printf("%s: schema %d, %d records, %d cells\n",
 			*validatePath, t.Schema, len(t.Records), len(t.Latest()))
-	case len(imports) > 0:
-		var recs []bench.Record
-		for _, path := range imports {
-			rs, err := bench.ImportLegacy(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pacebench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("imported %d records from %s\n", len(rs), path)
-			recs = append(recs, rs...)
-		}
-		if err := appendRecords(*out, recs); err != nil {
-			fmt.Fprintln(os.Stderr, "pacebench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("appended %d records to %s\n", len(recs), *out)
 	case *compare:
 		if len(positional) != 2 {
 			fmt.Fprintln(os.Stderr, "pacebench: -compare needs exactly two trajectory files (old new)")
@@ -163,7 +143,7 @@ func gateMain(args []string) {
 			os.Exit(1)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "pacebench: nothing to do (use `pacebench run`, -compare, -import or -validate)")
+		fmt.Fprintln(os.Stderr, "pacebench: nothing to do (use `pacebench run`, -compare or -validate)")
 		os.Exit(2)
 	}
 }
@@ -247,13 +227,4 @@ func resolveGitRev(explicit string) string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
 }

@@ -5,7 +5,7 @@
 // live registries, per-tenant RED/SLO metering and exemplar capture on
 // router and backend). The acceptance budget is enabled-vs-disabled
 // overhead < 5% on this remote campaign path; results are recorded in
-// BENCH_obs.json.
+// BENCH.json's legacy obs/fleet_trace_remote_campaign cells.
 package pace
 
 import (
@@ -57,10 +57,11 @@ func benchFleetCampaign(b *testing.B, traced bool, workers int) {
 	defer rt.Close() //nolint:errcheck
 	rurl := "http://" + raddr
 
-	admin, err := remote.NewAdmin(rurl, remote.Options{ClientID: "fleet-bench"})
+	rc, err := remote.NewClient(rurl, remote.Options{ClientID: "fleet-bench"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	admin := rc.Admin()
 	defer admin.Close()
 
 	runCfg.Workers = workers
@@ -91,7 +92,8 @@ func benchFleetCampaign(b *testing.B, traced bool, workers int) {
 }
 
 // BenchmarkFleetTraceOverhead prices fleet-wide tracing on the remote
-// campaign path at the worker counts BENCH_obs.json tracks.
+// campaign path at the worker counts BENCH.json's legacy
+// obs/fleet_trace_remote_campaign cells track.
 func BenchmarkFleetTraceOverhead(b *testing.B) {
 	for _, w := range []int{0, 4} {
 		b.Run(fmt.Sprintf("disabled/workers=%d", w), func(b *testing.B) { benchFleetCampaign(b, false, w) })

@@ -190,48 +190,6 @@ func TestCompareMissingAndNewCells(t *testing.T) {
 	}
 }
 
-func TestImportLegacy(t *testing.T) {
-	// The importer's contract is against the repository's real legacy
-	// files, not fixtures.
-	for _, name := range []string{"BENCH_parallel.json", "BENCH_obs.json", "BENCH_remote.json"} {
-		path := filepath.Join("..", "..", name)
-		if _, err := os.Stat(path); err != nil {
-			t.Skipf("legacy file %s not present: %v", name, err)
-		}
-		recs, err := ImportLegacy(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("%s: no records extracted", name)
-		}
-		prefix := strings.TrimPrefix(strings.TrimSuffix(strings.ToLower(name), ".json"), "bench_")
-		for _, r := range recs {
-			if r.Suite != "legacy" || r.Kind != "imported" {
-				t.Fatalf("%s: record %q should be legacy/imported, got %s/%s", name, r.Cell, r.Suite, r.Kind)
-			}
-			if !strings.HasPrefix(r.Cell, prefix+"/") {
-				t.Fatalf("%s: record cell %q should start with %q", name, r.Cell, prefix+"/")
-			}
-			if err := r.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		// Imports are deterministic: a second pass yields the same cells
-		// in the same order.
-		again, err := ImportLegacy(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range recs {
-			if recs[i].Cell != again[i].Cell {
-				t.Fatalf("%s: import order not deterministic at %d: %q vs %q",
-					name, i, recs[i].Cell, again[i].Cell)
-			}
-		}
-	}
-}
-
 // tinySuite is a seconds-scale profile exercising the full record path.
 func tinySuite() Suite {
 	return Suite{

@@ -20,7 +20,7 @@ import (
 // cell's mean rate. Because the spec's MeanQPS is overridden with the
 // cell's QPS, a uniform cell and a bursty cell at the same QPS compare
 // equal-mean offered load with different peaks, which is exactly the
-// uniform-vs-bursty row BENCH_remote.json carries.
+// uniform-vs-bursty comparison.
 
 // cellSchedule resolves a cell's workload (built-in profile name or
 // spec file) and plans its stream over the cell's duration against the

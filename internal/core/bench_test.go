@@ -81,13 +81,15 @@ func BenchmarkTrainAccelerated(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead prices the observability layer on the
-// BENCH_parallel.json end-to-end scenario (2 outer × 2 inner, batch 32,
+// end-to-end scenario of BENCH.json's legacy
+// parallel/end_to_end_train_accelerated cells (2 outer × 2 inner, batch 32,
 // 200µs oracle RTT). "disabled" is the instrumented code with nil
 // telemetry — all instrument calls degrade to nil checks, and the
 // latency clock reads are skipped entirely — and must stay within 5% of
 // BenchmarkTrainAccelerated. "enabled" adds a live registry plus a
 // tracer writing to io.Discard, the full-telemetry worst case. Results
-// are recorded in BENCH_obs.json.
+// are recorded in BENCH.json's legacy obs/end_to_end_train_accelerated
+// cells.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	f := newFixture(b, 22)
 	oracle := slowOracle(EngineOracle(f.wgen), benchRTT)

@@ -12,12 +12,10 @@ import (
 )
 
 // Campaign is the public entry point for a full PACE attack: fill in the
-// scenario, pick a seed, call Run. It replaces the old positional
-// core.Run(ctx, target, wgen, test, history, cfg, rng) signature with
-// named fields — every component of the threat model is visible at the
-// call site — and takes reproducibility by value: a Campaign with the
-// same fields and Seed produces bit-identical results on every run, at
-// any Config.Workers setting.
+// scenario, pick a seed, call Run. Every component of the threat model
+// is a named field, visible at the call site, and reproducibility is
+// taken by value: a Campaign with the same fields and Seed produces
+// bit-identical results on every run, at any Config.Workers setting.
 type Campaign struct {
 	// Target is the attacker's remote view of the victim estimator
 	// (§2.2): opaque predictions plus the incremental-update surface the

@@ -352,7 +352,7 @@ func TestRunFullPipeline(t *testing.T) {
 	before := metrics.Mean(bb.QErrors(qs, cards))
 
 	forced := ce.FCN
-	res, err := Run(bgCtx, bb, f.wgen, f.tw, history, Config{
+	res, err := runCampaign(bgCtx, bb, f.wgen, f.tw, history, Config{
 		NumPoison: 50,
 		ForceType: &forced,
 		Surrogate: surrogate.TrainConfig{

@@ -152,23 +152,10 @@ type Result struct {
 	TrainTime, GenTime, AttackTime time.Duration
 }
 
-// Run executes the complete PACE attack with explicitly positional
-// arguments.
-//
-// Deprecated: Run predates the Campaign API and survives only as a thin
-// wrapper for existing callers. New code should fill a Campaign and call
-// its Run method — same pipeline, named fields, and a Seed instead of a
-// caller-managed *rand.Rand.
-func Run(ctx context.Context, target ce.Target, wgen *workload.Generator, test, history []workload.Labeled,
-	cfg Config, rng *rand.Rand) (*Result, error) {
-	return runCampaign(ctx, target, wgen, test, history, cfg, rng)
-}
-
-// runCampaign is the shared pipeline body behind Campaign.Run and the
-// deprecated positional Run: speculate and train a surrogate (§4),
-// adversarially train the poisoning generator with the anomaly detector
-// (§5–6), generate the poisoning workload, and execute it against the
-// target (§3.4).
+// runCampaign is the pipeline body behind Campaign.Run: speculate and
+// train a surrogate (§4), adversarially train the poisoning generator
+// with the anomaly detector (§5–6), generate the poisoning workload, and
+// execute it against the target (§3.4).
 //
 // The campaign honors ctx (deadline or cancellation) and survives an
 // unreliable target: calls are retried per cfg.Retry, failed

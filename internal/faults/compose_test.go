@@ -21,6 +21,7 @@ import (
 	"pace/internal/remote"
 	"pace/internal/resilience"
 	"pace/internal/targetserver"
+	"pace/internal/tenant"
 )
 
 // countingTarget is the in-process estimator behind the test server: a
@@ -59,12 +60,18 @@ func testQuery(m *query.Meta) *query.Query {
 // RemoteTarget at it; cleanup tears both down.
 func startRemote(t *testing.T, bb ce.Target) *remote.RemoteTarget {
 	t.Helper()
-	srv := targetserver.New(bb, testMeta(), targetserver.Config{})
-	hs := httptest.NewServer(srv.Handler())
-	rt, err := remote.New(hs.URL, remote.Options{CoalesceWindow: 0, ClientID: "compose-test"})
-	if err != nil {
-		t.Fatalf("remote.New: %v", err)
+	cfg := targetserver.Config{}
+	reg := tenant.NewRegistry(nil, cfg.TenantConfig())
+	if _, err := reg.Add(tenant.Spec{ID: targetserver.DefaultTenant}, bb, testMeta()); err != nil {
+		t.Fatal(err)
 	}
+	srv := targetserver.NewMulti(reg, cfg)
+	hs := httptest.NewServer(srv.Handler())
+	c, err := remote.NewClient(hs.URL, remote.Options{CoalesceWindow: 0, ClientID: "compose-test"})
+	if err != nil {
+		t.Fatalf("remote.NewClient: %v", err)
+	}
+	rt := c.Target("")
 	t.Cleanup(func() {
 		rt.Close()
 		hs.Close()

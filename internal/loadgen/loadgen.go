@@ -88,13 +88,13 @@ type ClassReport struct {
 
 // ClientReport is one client identity's outcome split.
 type ClientReport struct {
-	Class   string `json:"class,omitempty"`
-	Offered int64  `json:"offered"`
-	Sent    int64  `json:"sent"`
-	OK      int64  `json:"ok"`
-	Shed    int64  `json:"shed_429"`
-	Errors  int64  `json:"errors"`
-	ClientDropped int64 `json:"client_dropped"`
+	Class         string `json:"class,omitempty"`
+	Offered       int64  `json:"offered"`
+	Sent          int64  `json:"sent"`
+	OK            int64  `json:"ok"`
+	Shed          int64  `json:"shed_429"`
+	Errors        int64  `json:"errors"`
+	ClientDropped int64  `json:"client_dropped"`
 }
 
 // Report is the outcome of one load run. Latencies are milliseconds.
@@ -139,7 +139,8 @@ type Report struct {
 	// the data codec that actually served the lane ("json" may appear
 	// after a sticky 415 downgrade of a "binary" lane) and the request/
 	// response body bytes it moved — the per-tenant bandwidth column
-	// behind BENCH_remote.json's codec comparison.
+	// behind the codec comparison of BENCH.json's legacy remote/codec_v2
+	// cells.
 	Codec        string `json:"codec,omitempty"`
 	WireBytesOut int64  `json:"wire_bytes_out,omitempty"`
 	WireBytesIn  int64  `json:"wire_bytes_in,omitempty"`

@@ -21,7 +21,7 @@ func HitRate(hits, misses int64) float64 {
 }
 
 // Speedup is the wall-clock ratio serial/parallel (0 when parallel is
-// 0) — the headline number of the BENCH_parallel.json report.
+// 0) — the headline number of BENCH.json's legacy parallel/* cells.
 func Speedup(serial, parallel float64) float64 {
 	if parallel == 0 {
 		return 0

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -20,24 +19,7 @@ import (
 // ce.ErrInvalidQuery, 5xx/network → ErrUnavailable) so callers can reuse
 // the same retry policies.
 type Admin struct {
-	base   string
-	opts   Options
-	client *http.Client
-	t      *RemoteTarget // classification + counters live here
-}
-
-// NewAdmin builds an admin client for the host at baseURL
-// (scheme://host:port). Options.Tenant is ignored — admin routes carry
-// their tenant ids explicitly.
-//
-// Deprecated: use NewClient(baseURL, opts).Admin(). NewAdmin is kept as
-// a thin wrapper.
-func NewAdmin(baseURL string, opts Options) (*Admin, error) {
-	c, err := NewClient(baseURL, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Admin(), nil
+	t *RemoteTarget // the shared exchange, classification and counters
 }
 
 // Close releases pooled connections.
@@ -101,56 +83,24 @@ func (a *Admin) WaitReady(ctx context.Context, id string, timeout time.Duration)
 }
 
 func (a *Admin) do(ctx context.Context, method, path string, body, dst any) error {
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.opts.RequestTimeout)
-		defer cancel()
-	}
-	var rd io.Reader
+	var payload []byte
+	contentType := ""
 	if body != nil {
-		payload, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("remote: encode: %w", err)
 		}
-		rd = bytes.NewReader(payload)
+		contentType = wire.JSONContentType
 	}
-	req, err := http.NewRequestWithContext(ctx, method, a.base+path, rd)
-	if err != nil {
-		return fmt.Errorf("remote: request: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(clientHeader, a.opts.ClientID)
-	if a.opts.AuthToken != "" {
-		req.Header.Set("Authorization", "Bearer "+a.opts.AuthToken)
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		a.t.unavailableCount.Add(1)
-		return fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		a.t.unavailableCount.Add(1)
-		return fmt.Errorf("%w: reading response: %v", ErrUnavailable, err)
-	}
+	raw, _, err := a.t.roundTrip(ctx, method, path, contentType, nil, payload, http.StatusOK)
 	// /healthz deliberately answers 503 with a valid body while draining;
 	// surface the body when it decodes, the classified error otherwise.
-	if resp.StatusCode == http.StatusOK ||
-		(strings.HasSuffix(path, "/healthz") && json.Valid(raw) && !bytes.Contains(raw, []byte(`"code"`))) {
-		if err := json.Unmarshal(raw, dst); err != nil {
-			a.t.unavailableCount.Add(1)
-			return fmt.Errorf("%w: malformed response: %v", ErrUnavailable, err)
-		}
-		return nil
+	if err != nil && !(strings.HasSuffix(path, "/healthz") && json.Valid(raw) && !bytes.Contains(raw, []byte(`"code"`))) {
+		return err
 	}
-	return a.t.classify(resp, raw)
+	if err := json.Unmarshal(raw, dst); err != nil {
+		a.t.unavailableCount.Add(1)
+		return fmt.Errorf("%w: malformed response: %v", ErrUnavailable, err)
+	}
+	return nil
 }

@@ -8,13 +8,13 @@ import (
 	"strings"
 	"time"
 
+	"pace/internal/httpedge"
 	"pace/internal/wire"
 )
 
 // Client is one connection to a paced (or pacerouter) host: a shared
 // HTTP pool handing out per-tenant data-path targets and the admin
-// surface. It replaces the former split New/NewAdmin constructors,
-// which survive as thin wrappers.
+// surface.
 type Client struct {
 	base  string
 	opts  Options
@@ -50,17 +50,17 @@ func NewClient(baseURL string, opts Options) (*Client, error) {
 	return &Client{base: baseURL, opts: opts, httpc: httpc, codec: codec}, nil
 }
 
-// Target hands out the data-path client for one tenant. id "" routes to
-// the legacy unrouted endpoints (the "default" tenant); when the base
-// URL itself already carries /v1/targets/{id}, id is ignored. Targets
-// share the Client's pool — hand out as many as needed.
+// Target hands out the data-path client for one tenant; id "" names
+// the host's "default" tenant. When the base URL itself already carries
+// /v1/targets/{id}, id is ignored. Targets share the Client's pool —
+// hand out as many as needed.
 func (c *Client) Target(id string) *RemoteTarget {
-	prefix := "/v1"
-	switch {
-	case strings.Contains(c.base, "/v1/targets/"):
+	if id == "" {
+		id = httpedge.DefaultTenant
+	}
+	prefix := "/v1/targets/" + url.PathEscape(id)
+	if strings.Contains(c.base, "/v1/targets/") {
 		prefix = "" // the URL already routes to a tenant
-	case id != "":
-		prefix = "/v1/targets/" + url.PathEscape(id)
 	}
 	return &RemoteTarget{base: c.base, prefix: prefix, opts: c.opts, client: c.httpc, codec: c.codec}
 }
@@ -81,8 +81,7 @@ func (c *Client) TargetAs(id, clientID string) *RemoteTarget {
 
 // Admin hands out the tenant admin surface (always JSON on the wire).
 func (c *Client) Admin() *Admin {
-	t := c.Target("")
-	return &Admin{base: c.base, opts: c.opts, client: c.httpc, t: t}
+	return &Admin{t: c.Target("")}
 }
 
 // Close releases pooled connections. Targets and Admins handed out by

@@ -13,7 +13,7 @@
 //     without double accounting.
 //   - Concurrent EstimateContext callers coalesce into server batches:
 //     the first caller opens a window (Options.CoalesceWindow); callers
-//     arriving inside it ride the same POST /v1/estimate, up to
+//     arriving inside it ride the same estimate request, up to
 //     Options.MaxBatch queries.
 //   - Connections pool through one http.Transport; per-call deadlines
 //     map the caller's context onto the exchange, with
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"pace/internal/ce"
+	"pace/internal/httpedge"
 	"pace/internal/obs"
 	"pace/internal/query"
 	"pace/internal/wire"
@@ -117,10 +118,9 @@ type Options struct {
 	// (default "host/pid"). Ignored by servers running with auth tokens —
 	// there the identity is derived from AuthToken.
 	ClientID string
-	// Tenant routes calls at a multi-tenant host:
-	// /v1/targets/<tenant>/estimate|execute instead of the legacy
-	// unrouted endpoints (which alias the "default" tenant). Ignored when
-	// the base URL itself already carries a /v1/targets/{id} route.
+	// Tenant routes calls at a multi-tenant host to
+	// /v1/targets/<tenant>/…; empty means the "default" tenant. Ignored
+	// when the base URL itself already carries a /v1/targets/{id} route.
 	Tenant string
 	// AuthToken, when set, is sent as "Authorization: Bearer <token>" —
 	// required by servers running with -auth-tokens.
@@ -186,7 +186,7 @@ type Stats struct {
 	Overloaded, Invalid, Unavailable int64
 	// BytesOut and BytesIn count request/response body bytes on the
 	// wire (headers excluded) — the numbers behind the codec bandwidth
-	// comparison in BENCH_remote.json.
+	// comparison in BENCH.json's legacy remote/codec_v2 cells.
 	BytesOut, BytesIn int64
 	// Codec names the data codec currently in effect ("binary" or
 	// "json" — the latter either by configuration or after a sticky 415
@@ -197,7 +197,7 @@ type Stats struct {
 // RemoteTarget implements ce.Target over the paced wire protocol.
 type RemoteTarget struct {
 	base   string // scheme://host[:port], no trailing slash
-	prefix string // "/v1" or "/v1/targets/<tenant>"
+	prefix string // "/v1/targets/<tenant>", or "" when base carries the route
 	opts   Options
 	client *http.Client
 
@@ -233,22 +233,6 @@ type pendingEst struct {
 type pendingRes struct {
 	est float64
 	err error
-}
-
-// New builds a RemoteTarget for the service at baseURL — either a bare
-// scheme://host:port (optionally routed by Options.Tenant) or a full
-// tenant route scheme://host:port/v1/targets/<id>, the form README's
-// multi-tenant quickstart passes to cmd/pace -target-url.
-//
-// Deprecated: use NewClient(baseURL, opts).Target(opts.Tenant) — one
-// Client now hands out both the data-path target and the admin surface
-// over a shared connection pool. New is kept as a thin wrapper.
-func New(baseURL string, opts Options) (*RemoteTarget, error) {
-	c, err := NewClient(baseURL, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Target(opts.Tenant), nil
 }
 
 // Close flushes any open coalescing window and releases pooled
@@ -477,8 +461,8 @@ func (t *RemoteTarget) postData(ctx context.Context, path string, encode func(wi
 // roundTrip runs one HTTP exchange: deadline backstop, identity and
 // codec headers, byte accounting, and classification of every non-want
 // status onto the pipeline's error taxonomy. It returns the body and
-// its Content-Type on wantStatus; contentType may be "" for bodyless
-// requests.
+// its Content-Type on wantStatus, and the body next to the classified
+// error otherwise; contentType may be "" for bodyless requests.
 func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType string, hdr map[string]string, payload []byte, wantStatus int) ([]byte, string, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
@@ -501,7 +485,7 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 		// the server falls back to it when binary is disabled.
 		req.Header.Set("Accept", wire.BinaryContentType)
 	}
-	req.Header.Set(clientHeader, t.opts.ClientID)
+	req.Header.Set(httpedge.ClientHeader, t.opts.ClientID)
 	if t.opts.AuthToken != "" {
 		req.Header.Set("Authorization", "Bearer "+t.opts.AuthToken)
 	}
@@ -527,7 +511,7 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 		return nil, "", fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, httpedge.MaxBody))
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, "", cerr
@@ -547,15 +531,8 @@ func (t *RemoteTarget) roundTrip(ctx context.Context, method, path, contentType 
 	case resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(`"`+wire.CodeUnknownExecution+`"`)):
 		return nil, "", errUnknownExecution
 	}
-	return nil, "", t.classify(resp, raw)
+	return raw, "", t.classify(resp, raw)
 }
-
-// maxResponse bounds response bodies (mirror of the server's request cap).
-const maxResponse = 64 << 20
-
-// clientHeader mirrors targetserver.ClientHeader without importing the
-// server package into every client binary.
-const clientHeader = "X-Pace-Client"
 
 // classify maps a non-200 reply onto the pipeline's error taxonomy:
 //

@@ -53,7 +53,7 @@ func streamToken(qs []*query.Query, cards []float64) string {
 // retry is safe because the token and every (token, seq) pair dedupe.
 func (t *RemoteTarget) executeStream(ctx context.Context, qs []*query.Query, cards []float64) error {
 	token := streamToken(qs, cards)
-	path := t.streamPrefix() + "/executions/" + url.PathEscape(token)
+	path := t.prefix + "/executions/" + url.PathEscape(token)
 
 	ctx, ssp := obs.StartSpan(ctx, "stream_execute", obs.Int("queries", len(qs)))
 	defer ssp.End()
@@ -95,24 +95,13 @@ func (t *RemoteTarget) executeStream(ctx context.Context, qs []*query.Query, car
 	return nil
 }
 
-// streamPrefix routes streamed-execute calls. The executions surface
-// exists only under /v1/targets/{id} — the legacy unrouted surface is
-// deprecated and does not grow new endpoints — so a target riding the
-// legacy prefix streams at the host's default tenant instead.
-func (t *RemoteTarget) streamPrefix() string {
-	if t.prefix == "/v1" {
-		return "/v1/targets/default"
-	}
-	return t.prefix
-}
-
 // openExecution registers the token, riding shed replies.
 func (t *RemoteTarget) openExecution(ctx context.Context, token string) error {
 	ctx, sp := obs.StartSpan(ctx, "rpc_exec_open")
 	defer sp.End()
 	deadline := time.Now().Add(2 * t.opts.RequestTimeout)
 	for {
-		_, err := t.controlJSON(ctx, http.MethodPost, t.streamPrefix()+"/executions",
+		_, err := t.controlJSON(ctx, http.MethodPost, t.prefix+"/executions",
 			wire.OpenExecutionRequest{V: wire.Version, Token: token}, http.StatusOK)
 		if err == nil {
 			return nil
@@ -132,7 +121,7 @@ func (t *RemoteTarget) openExecution(ctx context.Context, token string) error {
 func (t *RemoteTarget) submitChunk(ctx context.Context, token string, seq int64, req *wire.ExecuteRequest) error {
 	ctx, sp := obs.StartSpan(ctx, "rpc_exec_chunk", obs.Int64("seq", seq))
 	defer sp.End()
-	path := t.streamPrefix() + "/executions/" + url.PathEscape(token)
+	path := t.prefix + "/executions/" + url.PathEscape(token)
 	hdr := map[string]string{wire.ChunkSeqHeader: strconv.FormatInt(seq, 10)}
 	deadline := time.Now().Add(2 * t.opts.RequestTimeout)
 	for {

@@ -38,7 +38,7 @@ type backend struct {
 
 // recordingTransport routes one backend's admin traffic through the
 // router's HTTP transport while feeding transport outcomes into the
-// backend health machinery — the same accounting rt.forwardHdr does for
+// backend health machinery — the same accounting rt.forward does for
 // proxied traffic. Canceled caller contexts are not held against the
 // backend.
 type recordingTransport struct {
@@ -158,7 +158,7 @@ func (rt *Router) backendDown(b *backend) {
 // goroutines.
 func (rt *Router) backendRecovered(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	targets, err := rt.listBackend(ctx, b)
+	targets, err := b.admin.ListTargets(ctx)
 	cancel()
 	if err != nil {
 		return

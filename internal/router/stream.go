@@ -22,10 +22,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 
+	"pace/internal/httpedge"
 	"pace/internal/wire"
 )
 
@@ -53,10 +53,22 @@ func (e *entry) knownStream(token string) (int, bool) {
 	return len(seqs), ok
 }
 
+// stream returns token's journaled-seq set, registering the token on
+// first use. Callers hold e.execMu.
+func (e *entry) stream(token string) map[int64]bool {
+	if e.streams == nil {
+		e.streams = map[string]map[int64]bool{}
+	}
+	if e.streams[token] == nil {
+		e.streams[token] = map[int64]bool{}
+	}
+	return e.streams[token]
+}
+
 // syntheticAck answers for the backend when the router already holds
 // the truth (journaled chunk, replayed stream).
 func (rt *Router) syntheticAck(w http.ResponseWriter, status int, token, state string, applied int) {
-	rt.writeJSON(w, status, wire.ExecutionResponse{
+	httpedge.WriteJSON(w, status, wire.ExecutionResponse{
 		V:       wire.Version,
 		Token:   token,
 		State:   state,
@@ -72,14 +84,13 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: "+err.Error())
+	body, ok := httpedge.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var req wire.OpenExecutionRequest
 	if jerr := json.Unmarshal(body, &req); jerr != nil || !wire.ValidExecutionToken(req.Token) {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpedge.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"open body must carry a valid execution token")
 		return
 	}
@@ -90,21 +101,12 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 	if !ok {
 		return
 	}
-	resp, raw, err := rt.forward(r.Context(), b, http.MethodPost, "/v1/targets/"+id+"/executions", body, client)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	resp, raw, ok := rt.proxy(w, r, id, b, http.MethodPost, "/v1/targets/"+id+"/executions", body, client, nil)
+	if !ok {
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
-		if e.streams == nil {
-			e.streams = map[string]map[int64]bool{}
-		}
-		if e.streams[req.Token] == nil {
-			e.streams[req.Token] = map[int64]bool{}
-		}
+		e.stream(req.Token)
 		rt.mStreamOpens.Inc()
 	}
 	rt.passthrough(w, resp, raw)
@@ -113,21 +115,21 @@ func (rt *Router) handleOpenExecution(w http.ResponseWriter, r *http.Request, id
 // handleExecutionChunk proxies one chunk, deduping against the journal
 // and journaling on ack — the streamed twin of handleData's execute
 // arm.
-func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, id, token string) {
+func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, id string) {
 	e, client, ok := rt.resolveData(w, r, id)
 	if !ok {
 		return
 	}
+	token := r.PathValue("token")
 	seqRaw := r.Header.Get(wire.ChunkSeqHeader)
 	seq, err := strconv.ParseInt(seqRaw, 10, 64)
 	if err != nil || seq < 0 {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		httpedge.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			wire.ChunkSeqHeader+" must carry the chunk's non-negative sequence number")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading body: "+err.Error())
+	body, ok := httpedge.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	hdr := dataHdr(r)
@@ -148,12 +150,8 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 		return
 	}
 	path := "/v1/targets/" + id + "/executions/" + token
-	resp, raw, err := rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	resp, raw, ok := rt.proxy(w, r, id, b, http.MethodPost, path, body, client, hdr)
+	if !ok {
 		return
 	}
 	if resp.StatusCode == http.StatusNotFound &&
@@ -162,25 +160,15 @@ func (rt *Router) handleExecutionChunk(w http.ResponseWriter, r *http.Request, i
 			// The backend was rebuilt from the journal and lost its
 			// execution registry. Re-open there and forward once more.
 			if rt.reopenExecution(r.Context(), b, id, token) {
-				resp, raw, err = rt.forwardHdr(r.Context(), b, http.MethodPost, path, body, client, hdr)
-				if err != nil {
-					if r.Context().Err() != nil {
-						return
-					}
-					rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+				resp, raw, ok = rt.proxy(w, r, id, b, http.MethodPost, path, body, client, hdr)
+				if !ok {
 					return
 				}
 			}
 		}
 	}
 	if resp.StatusCode == http.StatusAccepted {
-		if e.streams == nil {
-			e.streams = map[string]map[int64]bool{}
-		}
-		if e.streams[token] == nil {
-			e.streams[token] = map[int64]bool{}
-		}
-		e.streams[token][seq] = true
+		e.stream(token)[seq] = true
 		e.journal = append(e.journal, journalEntry{contentType: hdr["Content-Type"], body: body, stream: true})
 		rt.mStreamFwd.Inc()
 	}
@@ -193,7 +181,7 @@ func (rt *Router) reopenExecution(ctx context.Context, b *backend, id, token str
 	if err != nil {
 		return false
 	}
-	resp, _, err := rt.forward(ctx, b, http.MethodPost, "/v1/targets/"+id+"/executions", body, routerClient)
+	resp, _, err := rt.forward(ctx, b, http.MethodPost, "/v1/targets/"+id+"/executions", body, routerClient, nil)
 	return err == nil && resp.StatusCode == http.StatusOK
 }
 
@@ -201,21 +189,18 @@ func (rt *Router) reopenExecution(ctx context.Context, b *backend, id, token str
 // a stream the router knows means the backend was rebuilt from the
 // journal: every journaled chunk was replayed synchronously, so the
 // stream is done from the client's point of view.
-func (rt *Router) handleExecutionStatus(w http.ResponseWriter, r *http.Request, id, token string) {
+func (rt *Router) handleExecutionStatus(w http.ResponseWriter, r *http.Request, id string) {
 	e, client, ok := rt.resolveData(w, r, id)
 	if !ok {
 		return
 	}
+	token := r.PathValue("token")
 	b, ok := rt.readyBackend(w, e, id)
 	if !ok {
 		return
 	}
-	resp, raw, err := rt.forward(r.Context(), b, http.MethodGet, "/v1/targets/"+id+"/executions/"+token, nil, client)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	resp, raw, ok := rt.proxy(w, r, id, b, http.MethodGet, "/v1/targets/"+id+"/executions/"+token, nil, client, nil)
+	if !ok {
 		return
 	}
 	if resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {
@@ -231,21 +216,18 @@ func (rt *Router) handleExecutionStatus(w http.ResponseWriter, r *http.Request, 
 // (token, seq) ledger is deliberately kept: dropping it would let a
 // later whole-stream retry re-forward journaled chunks and double-apply
 // them after a failover. The ledger dies with the tenant.
-func (rt *Router) handleExecutionDelete(w http.ResponseWriter, r *http.Request, id, token string) {
+func (rt *Router) handleExecutionDelete(w http.ResponseWriter, r *http.Request, id string) {
 	e, client, ok := rt.resolveData(w, r, id)
 	if !ok {
 		return
 	}
+	token := r.PathValue("token")
 	b, ok := rt.readyBackend(w, e, id)
 	if !ok {
 		return
 	}
-	resp, raw, err := rt.forward(r.Context(), b, http.MethodDelete, "/v1/targets/"+id+"/executions/"+token, nil, client)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.shed503(w, wire.CodeNotReady, "backend for tenant "+id+" unreachable; failover under way")
+	resp, raw, ok := rt.proxy(w, r, id, b, http.MethodDelete, "/v1/targets/"+id+"/executions/"+token, nil, client, nil)
+	if !ok {
 		return
 	}
 	if resp.StatusCode == http.StatusNotFound && bytes.Contains(raw, []byte(wire.CodeUnknownExecution)) {

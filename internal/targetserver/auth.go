@@ -4,62 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"strings"
 
-	"pace/internal/wire"
+	"pace/internal/httpedge"
 )
 
 // ClientHeader names the self-reported client identity header used for
-// per-client rate limiting when no auth tokens are configured. It is
-// advisory — anyone can claim any name — which is exactly why
-// Config.AuthTokens exists.
-const ClientHeader = "X-Pace-Client"
-
-// clientIdentity resolves who is calling, for per-tenant rate limiting.
-//
-// With Config.AuthTokens set the identity is spoof-proof: it is the name
-// mapped from the Authorization bearer token, and requests without a
-// known token are refused with 401 — the X-Pace-Client header is
-// ignored entirely. Without tokens the header is trusted as before,
-// falling back to the peer host.
-func (s *Server) clientIdentity(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if len(s.cfg.AuthTokens) > 0 {
-		tok, ok := bearerToken(r)
-		if !ok {
-			s.mUnauthorized.Inc()
-			w.Header().Set("WWW-Authenticate", `Bearer realm="paced"`)
-			s.writeError(w, http.StatusUnauthorized, wire.CodeUnauthorized,
-				"missing Authorization: Bearer token")
-			return "", false
-		}
-		name, known := s.cfg.AuthTokens[tok]
-		if !known {
-			s.mUnauthorized.Inc()
-			w.Header().Set("WWW-Authenticate", `Bearer realm="paced"`)
-			s.writeError(w, http.StatusUnauthorized, wire.CodeUnauthorized, "unknown bearer token")
-			return "", false
-		}
-		return name, true
-	}
-	if c := r.Header.Get(ClientHeader); c != "" {
-		return c, true
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host, true
-	}
-	return r.RemoteAddr, true
-}
-
-func bearerToken(r *http.Request) (string, bool) {
-	auth := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) {
-		return "", false
-	}
-	return strings.TrimSpace(auth[len(prefix):]), true
-}
+// per-client rate limiting when no auth tokens are configured.
+const ClientHeader = httpedge.ClientHeader
 
 // ParseAuthTokens reads a token file: one "token client-name" pair per
 // line, '#' comments and blank lines ignored. This is the -auth-tokens

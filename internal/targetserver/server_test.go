@@ -16,6 +16,7 @@ import (
 	"pace/internal/obs"
 	"pace/internal/query"
 	"pace/internal/targetserver"
+	"pace/internal/tenant"
 	"pace/internal/wire"
 )
 
@@ -86,7 +87,11 @@ func dflt(base string) string { return base + `{tenant="default"}` }
 
 func newTestServer(t *testing.T, bb ce.Target, cfg targetserver.Config) (*targetserver.Server, *httptest.Server) {
 	t.Helper()
-	srv := targetserver.New(bb, testMeta(), cfg)
+	reg := tenant.NewRegistry(cfg.Factory, cfg.TenantConfig())
+	if _, err := reg.Add(tenant.Spec{ID: targetserver.DefaultTenant}, bb, testMeta()); err != nil {
+		t.Fatal(err)
+	}
+	srv := targetserver.NewMulti(reg, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.Close()

@@ -225,6 +225,16 @@ func (r *Registry) Get(id string) (*Tenant, error) {
 	}
 }
 
+// Has reports whether id names a tenant in any state: ready,
+// provisioning, draining or evicted.
+func (r *Registry) Has(id string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, live := r.slots[id]
+	_, evicted := r.evicted[id]
+	return live || evicted
+}
+
 // List snapshots the directory, sorted by id. Evicted tenants list with
 // state "evicted" — they still exist, just without live state.
 func (r *Registry) List() []Info {

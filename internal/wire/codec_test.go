@@ -358,7 +358,8 @@ func workloadLikeQueries(m *query.Meta, n, constrained int, rng *rand.Rand) []Qu
 // TestBinarySmallerThanJSON pins the bandwidth claim the binary codec
 // exists for: a workload-shaped estimate batch (few constrained
 // predicates, the rest open) must shrink at least 3× next to its JSON
-// form — BENCH_remote.json's estimate-path row.
+// form — the estimate-path row of BENCH.json's legacy remote/codec_v2
+// cells.
 func TestBinarySmallerThanJSON(t *testing.T) {
 	m := testMeta(6, 3)
 	rng := rand.New(rand.NewSource(21))

@@ -11,7 +11,7 @@ import (
 // uniformly afterwards: interarrival = sample / rate. Burstiness is the
 // *shape* of the distribution (its coefficient of variation), not its
 // mean — equal-mean workloads with different shapes is exactly the
-// comparison BENCH_remote.json's uniform-vs-bursty row makes.
+// comparison a uniform-vs-bursty pair of pacebench load cells makes.
 
 // meanOneSampler returns a mean-1 interarrival sampler for the process.
 // The spec must be validated first (unknown processes panic).
@@ -72,11 +72,11 @@ func gammaSample(rng *rand.Rand, k float64) float64 {
 // result is ServeGen-style coordinated burstiness — idle gaps followed
 // by windows of concentrated fire.
 type onOffClock struct {
-	rng          *rand.Rand
-	onMean       float64
-	offMean      float64
-	wall         float64 // wall-time cursor, seconds
-	onRemaining  float64 // seconds of the current on-window past the cursor
+	rng         *rand.Rand
+	onMean      float64
+	offMean     float64
+	wall        float64 // wall-time cursor, seconds
+	onRemaining float64 // seconds of the current on-window past the cursor
 }
 
 // newOnOffClock starts a client's window sequence. The initial phase is

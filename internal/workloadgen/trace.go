@@ -38,14 +38,14 @@ const TraceSchema = 1
 
 // traceHeader is line 1 of a trace.
 type traceHeader struct {
-	Schema   int    `json:"schema"`
-	Kind     string `json:"kind"`
-	Tables   int    `json:"tables"`
-	Attrs    int    `json:"attrs"`
-	Spec     Spec   `json:"spec"`
+	Schema   int      `json:"schema"`
+	Kind     string   `json:"kind"`
+	Tables   int      `json:"tables"`
+	Attrs    int      `json:"attrs"`
+	Spec     Spec     `json:"spec"`
 	Clients  []Client `json:"clients"`
-	Queries  int    `json:"queries"`
-	Arrivals int    `json:"arrivals"`
+	Queries  int      `json:"queries"`
+	Arrivals int      `json:"arrivals"`
 }
 
 const traceKind = "pace-workload-trace"

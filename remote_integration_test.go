@@ -20,11 +20,24 @@ import (
 	"pace/internal/faults"
 	"pace/internal/loadgen"
 	"pace/internal/metrics"
+	"pace/internal/query"
 	"pace/internal/remote"
 	"pace/internal/targetserver"
 	"pace/internal/tenant"
 	"pace/internal/workload"
 )
+
+// newDefaultServer hosts target as the "default" tenant of a paced
+// server.
+func newDefaultServer(t testing.TB, target ce.Target, meta *query.Meta) *targetserver.Server {
+	t.Helper()
+	cfg := targetserver.Config{}
+	reg := tenant.NewRegistry(nil, cfg.TenantConfig())
+	if _, err := reg.Add(tenant.Spec{ID: targetserver.DefaultTenant}, target, meta); err != nil {
+		t.Fatal(err)
+	}
+	return targetserver.NewMulti(reg, cfg)
+}
 
 // remoteCampaignWorld builds one side of the comparison: a world, its
 // trained black-box victim, and the campaign config. Both sides call it
@@ -77,7 +90,7 @@ func TestIntegrationRemoteCampaignMatchesInProcess(t *testing.T) {
 		t.Fatalf("twin victims disagree before attack: %v vs %v", beforeLocal, beforeRemote)
 	}
 
-	srv := targetserver.New(bbRemote, wRemote.DS.Meta, targetserver.Config{})
+	srv := newDefaultServer(t, bbRemote, wRemote.DS.Meta)
 	hs := httptest.NewServer(srv.Handler())
 	defer func() {
 		hs.Close()
@@ -159,7 +172,7 @@ func TestIntegrationRemoteCampaignBinaryStreamingBitExact(t *testing.T) {
 	wLocal, bbLocal, cfgLocal := remoteCampaignWorld(t, seed)
 	wRemote, bbRemote, cfgRemote := remoteCampaignWorld(t, seed)
 
-	srv := targetserver.New(bbRemote, wRemote.DS.Meta, targetserver.Config{})
+	srv := newDefaultServer(t, bbRemote, wRemote.DS.Meta)
 	hs := httptest.NewServer(srv.Handler())
 	defer func() {
 		hs.Close()
@@ -239,7 +252,7 @@ func TestIntegrationRemoteCampaignUnderFaults(t *testing.T) {
 	w, bb, runCfg := remoteCampaignWorld(t, seed)
 	before := meanQErr(bb, w)
 
-	srv := targetserver.New(bb, w.DS.Meta, targetserver.Config{})
+	srv := newDefaultServer(t, bb, w.DS.Meta)
 	hs := httptest.NewServer(srv.Handler())
 	defer func() {
 		hs.Close()
@@ -299,10 +312,11 @@ func isolationRun(t *testing.T, seed int64, hammer bool) (*core.Result, float64)
 		rep loadgen.Report
 	)
 	if hammer {
-		rt, err := remote.New(hs.URL, remote.Options{Tenant: "b", ClientID: "hammer"})
+		rc, err := remote.NewClient(hs.URL, remote.Options{ClientID: "hammer"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt := rc.Target("b")
 		defer rt.Close()
 		lwg.Add(1)
 		go func() {
