@@ -14,10 +14,12 @@
 //	GET  /healthz                    per-tenant readiness (503 while draining)
 //	GET  /metrics                    tenant-labeled metrics (with -metrics)
 //
-// Estimates are micro-batched per tenant; admission is bounded (full
-// queues shed with 429 + Retry-After) and per-client token buckets
-// rate-limit by client identity — the X-Pace-Client header, or, with
-// -auth-tokens, the spoof-proof name mapped from the bearer token.
+// Estimates are micro-batched per tenant: each tenant's model goroutine
+// evaluates the estimates queued when it wakes, up to -max-batch
+// queries, and never waits for more. Admission is bounded (full queues
+// shed with 429 + Retry-After) and per-client token buckets rate-limit
+// by client identity — the X-Pace-Client header, or, with -auth-tokens,
+// the spoof-proof name mapped from the bearer token.
 // SIGINT/SIGTERM drains gracefully: health flips to 503, in-flight
 // requests on every tenant finish, then the process exits.
 //
@@ -60,7 +62,6 @@ func main() {
 		authTokens  = flag.String("auth-tokens", "", "bearer-token file (one \"token client-name\" per line); when set, client identity is token-derived and unauthenticated requests get 401")
 
 		maxBatch    = flag.Int("max-batch", 64, "micro-batch size cap in queries")
-		batchWindow = flag.Duration("batch-window", 200*time.Microsecond, "micro-batch gather window")
 		queueDepth  = flag.Int("queue-depth", 128, "estimate admission queue capacity (full = shed 429)")
 		execDepth   = flag.Int("exec-queue-depth", 8, "execute (retraining) queue capacity")
 		rate        = flag.Float64("rate", 0, "per-client admitted requests per second per tenant (0 = unlimited)")
@@ -128,7 +129,6 @@ func main() {
 
 	cfg := targetserver.Config{
 		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 		QueueDepth:     *queueDepth,
 		ExecQueueDepth: *execDepth,
 		RatePerSec:     *rate,

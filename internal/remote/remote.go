@@ -107,9 +107,12 @@ type Options struct {
 	MaxBatch int
 	// CoalesceWindow is how long the first of a burst of concurrent
 	// EstimateContext calls waits for companions before flushing one
-	// batched request (default 200µs; 0 disables coalescing — every
-	// call is its own request, which the load generator relies on for
-	// per-request latency).
+	// batched request. 0 (the default) or a negative value turns
+	// coalescing off: every call is its own request, which the load
+	// generator relies on for per-request latency. The window runs on a
+	// runtime timer, so on an otherwise idle process a sub-millisecond
+	// window can stretch to about 1 ms (the netpoller sleeps in whole
+	// milliseconds).
 	CoalesceWindow time.Duration
 	// RequestTimeout bounds one HTTP exchange when the caller's context
 	// has no earlier deadline (default 30s).

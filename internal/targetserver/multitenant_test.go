@@ -366,7 +366,7 @@ func TestShutdownDrainsEveryTenant(t *testing.T) {
 		"a": {gate: make(chan struct{}), entered: make(chan struct{}, 1)},
 		"b": {gate: make(chan struct{}), entered: make(chan struct{}, 1)},
 	}
-	srv, hs := newMultiServer(t, targetserver.Config{BatchWindow: time.Microsecond},
+	srv, hs := newMultiServer(t, targetserver.Config{},
 		map[string]ce.Target{"a": targets["a"], "b": targets["b"]})
 
 	exec := wire.ExecuteRequest{

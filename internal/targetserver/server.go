@@ -61,9 +61,6 @@ type Config struct {
 	// goroutine evaluates per micro-batch (default 64). Requests larger
 	// than wire.MaxBatch are rejected outright.
 	MaxBatch int
-	// BatchWindow is how long a model goroutine waits for more estimate
-	// requests after the first one arrives (default 200µs).
-	BatchWindow time.Duration
 	// QueueDepth bounds each tenant's estimate admission queue in
 	// requests (default 128). A full queue sheds with 429.
 	QueueDepth int
@@ -138,7 +135,6 @@ func (c Config) withDefaults() Config {
 func (c Config) TenantConfig() tenant.Config {
 	return tenant.Config{
 		MaxBatch:       c.MaxBatch,
-		BatchWindow:    c.BatchWindow,
 		QueueDepth:     c.QueueDepth,
 		ExecQueueDepth: c.ExecQueueDepth,
 		RatePerSec:     c.RatePerSec,

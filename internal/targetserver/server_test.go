@@ -255,11 +255,10 @@ func TestFullQueueShedsWith429(t *testing.T) {
 	bb := &gateTarget{gate: gate, entered: make(chan struct{}, 1)}
 	reg := obs.NewRegistry()
 	_, hs := newTestServer(t, bb, targetserver.Config{
-		MaxBatch:    1, // no gathering: the first job alone parks the model
-		QueueDepth:  1,
-		BatchWindow: time.Microsecond,
-		RetryAfter:  3 * time.Second,
-		Telemetry:   &obs.Telemetry{Reg: reg},
+		MaxBatch:   1, // no gathering: the first job alone parks the model
+		QueueDepth: 1,
+		RetryAfter: 3 * time.Second,
+		Telemetry:  &obs.Telemetry{Reg: reg},
 	})
 
 	// First request occupies the model goroutine (blocked on the gate),
@@ -345,50 +344,59 @@ func TestPerClientRateLimit(t *testing.T) {
 	}
 }
 
+// TestMicroBatchingCoalesces parks the model goroutine on one request,
+// queues n−1 more behind it and then releases it: the model must answer
+// the queued requests as one batch, so exactly two batches run.
 func TestMicroBatchingCoalesces(t *testing.T) {
 	reg := obs.NewRegistry()
 	gate := make(chan struct{})
-	bb := &gateTarget{gate: gate}
+	bb := &gateTarget{gate: gate, entered: make(chan struct{}, 1)}
 	_, hs := newTestServer(t, bb, targetserver.Config{
-		BatchWindow: 250 * time.Millisecond,
-		Telemetry:   &obs.Telemetry{Reg: reg},
+		Telemetry: &obs.Telemetry{Reg: reg},
 	})
 
 	const n = 5
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp := postJSON(t, hs.URL+"/v1/estimate",
-				wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-			}
-			resp.Body.Close()
-		}()
+	send := func() {
+		defer wg.Done()
+		resp := postJSON(t, hs.URL+"/v1/estimate",
+			wire.EstimateRequest{V: wire.Version, Queries: []wire.Query{openQuery()}}, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
 	}
-	// All n arrive well inside the 250ms gather window opened by the
-	// first; release the model once they are all enqueued or in-flight.
+	wg.Add(1)
+	go send()
+	<-bb.entered // the model goroutine is now parked on the gate
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go send()
+	}
+	depth := reg.Gauge(dflt("paced_estimate_queue_depth"))
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter(dflt("paced_estimate_requests_total")).Value() < n && time.Now().Before(deadline) {
+	for depth.Value() < n-1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	queued := depth.Value()
 	close(gate)
 	wg.Wait()
+	if queued != n-1 {
+		t.Fatalf("queue depth %d, want %d queued behind the parked request", queued, n-1)
+	}
 
 	if got := reg.Counter(dflt("paced_estimate_queries_total")).Value(); got != n {
 		t.Errorf("paced_estimate_queries_total = %d, want %d", got, n)
 	}
-	if got := reg.Counter(dflt("paced_batches_total")).Value(); got < 1 || got > 2 {
-		t.Errorf("paced_batches_total = %d, want 1 (micro-batched) or at most 2", got)
+	if got := reg.Counter(dflt("paced_batches_total")).Value(); got != 2 {
+		t.Errorf("paced_batches_total = %d, want 2 (the parked request, then the %d queued as one batch)", got, n-1)
 	}
 }
 
 func TestDrainAnswersHeldRequestsThenRefuses(t *testing.T) {
 	gate := make(chan struct{})
 	bb := &gateTarget{gate: gate}
-	srv, hs := newTestServer(t, bb, targetserver.Config{BatchWindow: time.Microsecond})
+	srv, hs := newTestServer(t, bb, targetserver.Config{})
 
 	// healthz is green before the drain.
 	resp, err := http.Get(hs.URL + "/healthz")

@@ -136,7 +136,6 @@ func TestSubmitChunkShedUnmarksSeq(t *testing.T) {
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(bt.release) }) }
 	tn := NewTenant(Spec{ID: "t"}, bt, testMeta(), Config{
-		BatchWindow:    time.Microsecond,
 		ExecQueueDepth: 1,
 	})
 	t.Cleanup(func() {

@@ -107,9 +107,6 @@ type Config struct {
 	// MaxBatch caps the model goroutine's micro-batch in queries
 	// (default 64).
 	MaxBatch int
-	// BatchWindow is how long the model goroutine gathers more estimate
-	// jobs after the first (default 200µs).
-	BatchWindow time.Duration
 	// QueueDepth bounds the estimate admission queue (default 128).
 	QueueDepth int
 	// ExecQueueDepth bounds the execute queue (default 8).
@@ -133,9 +130,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
@@ -316,39 +310,51 @@ func (t *Tenant) Estimate(ctx context.Context, qs []*query.Query) ([]float64, er
 	t.m.EstQueries.Add(int64(len(qs)))
 	start := time.Now()
 
-	ests := make([]float64, len(qs))
-	missIdx := make([]int, 0, len(qs))
-	var gen uint64
-	if t.cache != nil {
-		gen = t.cache.generation()
-		for i, q := range qs {
-			if est, ok := t.cache.get(q.Key()); ok {
-				ests[i] = est
-			} else {
-				missIdx = append(missIdx, i)
-			}
+	if t.cache == nil {
+		ests, err := t.evaluate(ctx, qs)
+		if err != nil {
+			return nil, err
 		}
-		t.m.CacheHits.Add(int64(len(qs) - len(missIdx)))
-		t.m.CacheMiss.Add(int64(len(missIdx)))
-		if len(missIdx) == 0 {
-			t.m.LatencyUs.Observe(float64(time.Since(start).Microseconds()))
-			return ests, nil
-		}
-	} else {
-		for i := range qs {
-			missIdx = append(missIdx, i)
-		}
+		t.m.LatencyUs.Observe(float64(time.Since(start).Microseconds()))
+		return ests, nil
 	}
 
-	missQs := make([]*query.Query, len(missIdx))
-	for j, i := range missIdx {
-		missQs[j] = qs[i]
+	ests := make([]float64, len(qs))
+	missIdx := make([]int, 0, len(qs))
+	missQs := make([]*query.Query, 0, len(qs))
+	gen := t.cache.generation()
+	for i, q := range qs {
+		if est, ok := t.cache.get(q.Key()); ok {
+			ests[i] = est
+		} else {
+			missIdx = append(missIdx, i)
+			missQs = append(missQs, q)
+		}
 	}
+	t.m.CacheHits.Add(int64(len(qs) - len(missIdx)))
+	t.m.CacheMiss.Add(int64(len(missIdx)))
+	if len(missIdx) > 0 {
+		missEsts, err := t.evaluate(ctx, missQs)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range missIdx {
+			ests[i] = missEsts[j]
+			t.cache.put(gen, qs[i].Key(), missEsts[j])
+		}
+	}
+	t.m.LatencyUs.Observe(float64(time.Since(start).Microseconds()))
+	return ests, nil
+}
+
+// evaluate queues qs as one job on the model goroutine and waits for its
+// answers, one per query in order.
+func (t *Tenant) evaluate(ctx context.Context, qs []*query.Query) ([]float64, error) {
 	// The queue_wait span measures enqueue → model-loop pickup. It is
 	// started without replacing ctx so the later model_inference span is
 	// its sibling (both under the server span), not its child.
 	_, wspan := obs.StartSpan(ctx, "queue_wait")
-	job := &estJob{ctx: ctx, qs: missQs, wait: wspan, reply: make(chan estReply, 1)}
+	job := &estJob{ctx: ctx, qs: qs, wait: wspan, reply: make(chan estReply, 1)}
 	select {
 	case t.estQ <- job:
 		t.m.QueueDepth.Add(1)
@@ -360,17 +366,7 @@ func (t *Tenant) Estimate(ctx context.Context, qs []*query.Query) ([]float64, er
 
 	select {
 	case rep := <-job.reply:
-		if rep.err != nil {
-			return nil, rep.err
-		}
-		for j, i := range missIdx {
-			ests[i] = rep.ests[j]
-			if t.cache != nil {
-				t.cache.put(gen, qs[i].Key(), rep.ests[j])
-			}
-		}
-		t.m.LatencyUs.Observe(float64(time.Since(start).Microseconds()))
-		return ests, nil
+		return rep.ests, rep.err
 	case <-ctx.Done():
 		// The model loop will notice via job.ctx and skip the work.
 		return nil, ctx.Err()
@@ -447,7 +443,7 @@ func (t *Tenant) Drain(ctx context.Context) error {
 }
 
 // modelLoop is the single goroutine that owns the tenant's estimator: it
-// gathers estimate jobs into micro-batches and runs execute jobs one at
+// evaluates estimate jobs in micro-batches and runs execute jobs one at
 // a time. After stop it drains whatever is still queued (their callers
 // are waiting on replies) and exits.
 func (t *Tenant) modelLoop() {
@@ -466,14 +462,15 @@ func (t *Tenant) modelLoop() {
 	}
 }
 
-// gatherAndEval collects more estimate jobs for up to BatchWindow (or
-// until MaxBatch queries are pending), then evaluates them all.
+// gatherAndEval batches first with the estimate jobs already queued
+// behind it, up to MaxBatch queries, and evaluates them all. It never
+// waits for more: a lone job is answered at once, and under backlog jobs
+// pile up in estQ while the previous batch runs, so the next batch is
+// full without a gather timer.
 func (t *Tenant) gatherAndEval(first *estJob) {
 	first.wait.End()
 	batch := []*estJob{first}
 	n := len(first.qs)
-	timer := time.NewTimer(t.cfg.BatchWindow)
-	defer timer.Stop()
 gather:
 	for n < t.cfg.MaxBatch {
 		select {
@@ -482,9 +479,7 @@ gather:
 			j.wait.End()
 			batch = append(batch, j)
 			n += len(j.qs)
-		case <-timer.C:
-			break gather
-		case <-t.stop:
+		default:
 			break gather
 		}
 	}

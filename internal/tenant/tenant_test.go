@@ -53,7 +53,7 @@ func newTestTenant(t *testing.T, spec Spec, target ce.Target) *Tenant {
 	if spec.ID == "" {
 		spec.ID = "t"
 	}
-	tn := NewTenant(spec, target, testMeta(), Config{BatchWindow: time.Microsecond})
+	tn := NewTenant(spec, target, testMeta(), Config{})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -448,7 +448,7 @@ func TestRegistryDrainDuringCreateRace(t *testing.T) {
 // estimates must either serve or fail cleanly (ErrDraining/NotFound) and
 // the drain must wait for queued work. Run with -race.
 func TestRegistryDeleteDuringEstimateRace(t *testing.T) {
-	r := NewRegistry(stubFactory(0), Config{BatchWindow: time.Microsecond})
+	r := NewRegistry(stubFactory(0), Config{})
 	ctx := context.Background()
 	const rounds = 10
 	for n := 0; n < rounds; n++ {

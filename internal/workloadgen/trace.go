@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -27,7 +28,8 @@ import (
 //     meta — a trace recorded against one schema never silently replays
 //     against another;
 //   - query and arrival counts must match the header, arrival times
-//     must be non-decreasing, and every index must be in range.
+//     must be non-decreasing offsets a time.Duration can hold, and
+//     every index must be in range.
 //
 // Determinism: encoding uses only structs (no maps), so the same
 // Schedule always serializes to the same bytes — the record/replay
@@ -49,6 +51,9 @@ type traceHeader struct {
 }
 
 const traceKind = "pace-workload-trace"
+
+// maxTraceUS is the largest arrival offset a time.Duration can hold.
+const maxTraceUS = math.MaxInt64 / int64(time.Microsecond)
 
 // traceQuery is one pool query: joined table indexes plus the non-open
 // bounds as [attr, lo, hi] triples (the internal/workload persistence
@@ -206,7 +211,7 @@ func ReadTrace(path string, m *query.Meta) (*Schedule, error) {
 		s.Queries = append(s.Queries, q)
 	}
 
-	var prev int64 = -1
+	var prev int64
 	for i := 0; i < hdr.Arrivals; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("workloadgen: %s: truncated at arrival %d/%d", path, i, hdr.Arrivals)
@@ -220,6 +225,9 @@ func ReadTrace(path string, m *query.Meta) (*Schedule, error) {
 		}
 		if ta.Q < 0 || ta.Q >= len(s.Queries) {
 			return nil, fmt.Errorf("workloadgen: %s: arrival %d references query %d of %d", path, i, ta.Q, len(s.Queries))
+		}
+		if ta.US < 0 || ta.US > maxTraceUS {
+			return nil, fmt.Errorf("workloadgen: %s: arrival %d at %dus is outside [0, %dus]", path, i, ta.US, maxTraceUS)
 		}
 		if ta.US < prev {
 			return nil, fmt.Errorf("workloadgen: %s: arrival %d goes back in time (%dus after %dus)", path, i, ta.US, prev)

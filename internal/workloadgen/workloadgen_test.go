@@ -459,3 +459,37 @@ func TestTraceRejectsMismatches(t *testing.T) {
 		t.Error("truncated trace accepted")
 	}
 }
+
+// TestTraceRejectsOutOfRangeOffsets: an arrival offset that is negative,
+// or too large for a time.Duration, must fail rather than replay at a
+// wrapped-around time.
+func TestTraceRejectsOutOfRangeOffsets(t *testing.T) {
+	m := testMeta()
+	s, err := Generate(burstySpec(), testPool(4), nil, time.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Arrivals = s.Arrivals[:1]
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.jsonl")
+	if err := WriteTrace(path, s, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := fmt.Sprintf(`{"us":%d,`, s.Arrivals[0].T.Microseconds())
+	if !bytes.Contains(raw, []byte(us)) {
+		t.Fatalf("trace has no arrival line starting %s", us)
+	}
+	for _, bad := range []string{`{"us":-1,`, `{"us":9300000000000000,`} {
+		badPath := filepath.Join(dir, "bad.jsonl")
+		if err := os.WriteFile(badPath, bytes.Replace(raw, []byte(us), []byte(bad), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := ReadTrace(badPath, m); err == nil {
+			t.Errorf("arrival %s accepted, replays at %v", bad, r.Arrivals[0].T)
+		}
+	}
+}
