@@ -1,29 +1,37 @@
-// Command loadgen replays a synthetic workload against a running paced
-// estimator service at a target QPS and reports latency percentiles and
-// shed rates as JSON — the end-to-end evidence that the server sheds
-// load (fast 429s, bounded p99) instead of collapsing into timeouts.
+// Command loadgen fires a planned request stream against a running
+// paced estimator service and reports latency percentiles and shed
+// rates as JSON — the end-to-end evidence that the server sheds load
+// (fast 429s, bounded p99) instead of collapsing into timeouts.
+//
+// Every run fires an internal/workloadgen schedule. Without -spec or
+// -replay, loadgen plans the built-in "uniform" spec at -qps over
+// -duration: one client with Poisson arrivals, fired under the -client
+// identity. The report counts every planned arrival as offered, so its
+// target_qps is the rate that was actually offered; arrivals the host
+// cannot keep up with fire late, and arrivals over the in-flight cap are
+// booked as client_dropped.
+//
+// -spec plans a realistic stream instead — a skew-rated client
+// population firing bursty arrivals, each request under its own
+// X-Pace-Client identity, with query shapes fitted from the dataset's
+// historical workload — and the report's per-SLO-class and per-client
+// splits show who got served. -record writes the planned stream as a
+// JSONL trace; -replay fires a recorded trace bit-exactly; -calibrate
+// gates the run's ledger against a previously recorded report (exit 1
+// when the deltas exceed tolerance).
 //
 // Each request is one single-query estimate call (client-side coalescing
 // off) so every latency sample is one wire round trip.
 //
 // Against a multi-tenant host, -target routes the load at named tenants:
-// one id replays against that tenant alone; a comma-separated list runs
-// one concurrent lane per tenant, each offered the full -qps, and the
-// report becomes a per-tenant ledger keyed by tenant id.
-//
-// Beyond the uniform open loop, -spec plans a realistic stream with
-// internal/workloadgen — a skew-rated client population firing bursty
-// arrivals, each request under its own X-Pace-Client identity, with
-// query shapes fitted from the dataset's historical workload — and the
-// report grows per-SLO-class and per-client splits. -record writes the
-// planned stream as a JSONL trace; -replay fires a recorded trace
-// bit-exactly; -calibrate gates the run's ledger against a previously
-// recorded report (exit 1 when the deltas exceed tolerance).
+// one id fires at that tenant alone; a comma-separated list runs one
+// concurrent lane per tenant, each firing the whole plan, and the report
+// becomes a per-tenant ledger keyed by tenant id.
 //
 // Examples:
 //
-//	paced -addr 127.0.0.1:8645 -rate 2000 &
-//	loadgen -url http://127.0.0.1:8645 -qps 4000 -duration 10s
+//	paced -addr 127.0.0.1:8645 -rate 200 &
+//	loadgen -url http://127.0.0.1:8645 -qps 400 -duration 10s
 //	loadgen -url http://127.0.0.1:8645 -target a,b -qps 500
 //	loadgen -url http://127.0.0.1:8645 -spec bursty -duration 10s -record t.jsonl -out rec.json
 //	loadgen -url http://127.0.0.1:8645 -replay t.jsonl -calibrate rec.json
@@ -37,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -58,15 +65,15 @@ func main() {
 		scale       = flag.Float64("scale", 0, "dataset scale factor (0 = profile default)")
 		seed        = cli.Seed()
 		nQueries    = flag.Int("queries", 200, "distinct queries in the replayed pool")
-		qps         = flag.Float64("qps", 1000, "offered request rate (per lane; ignored with -spec/-replay)")
-		duration    = flag.Duration("duration", 10*time.Second, "how long to offer load")
+		qps         = flag.Float64("qps", 1000, "mean offered rate of the planned uniform stream (per lane; ignored with -spec/-replay)")
+		duration    = flag.Duration("duration", 10*time.Second, "planning horizon (ignored with -replay)")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request timeout")
-		clientID    = flag.String("client", "", "X-Pace-Client identity (default host/pid; per-planned-client with -spec/-replay)")
+		clientID    = flag.String("client", "", "X-Pace-Client identity of a run without -spec/-replay (default host/pid); with -spec/-replay each planned client fires under its own id")
 		codecName   = flag.String("codec", "binary", "data-path wire codec: binary or json (415 from an older server downgrades the lane to json)")
 		authToken   = cli.AuthToken()
 		out         = flag.String("out", "", "write the JSON report here (default stdout)")
 		specName    = flag.String("spec", "", "workload spec: a built-in profile (uniform, bursty) or a JSON spec file")
-		record      = flag.String("record", "", "record the planned stream as a JSONL trace here (requires -spec)")
+		record      = flag.String("record", "", "record the fired stream as a JSONL trace here")
 		replayPath  = flag.String("replay", "", "replay a recorded trace instead of planning (mutually exclusive with -spec)")
 		calPath     = flag.String("calibrate", "", "recorded report JSON to gate this run against (exit 1 on calibration failure)")
 		workers     = flag.Int("workers", 0, "schedule-generation fan-out (any value plans the identical stream)")
@@ -80,9 +87,6 @@ func main() {
 	if *specName != "" && *replayPath != "" {
 		fatal(fmt.Errorf("-spec and -replay are mutually exclusive"))
 	}
-	if *record != "" && *specName == "" {
-		fatal(fmt.Errorf("-record requires -spec (replays are already recorded)"))
-	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -94,36 +98,26 @@ func main() {
 	}
 	pool := workload.Queries(w.WGen.Random(*nQueries))
 
-	// Plan (or load) the realistic stream when asked.
+	// Load the recorded stream, or plan one: the -spec workload, or the
+	// uniform built-in at -qps.
 	var sched *loadgen.Schedule
-	switch {
-	case *replayPath != "":
+	if *replayPath != "" {
 		sched, err = workloadgen.ReadTrace(*replayPath, w.DS.Meta)
-		if err != nil {
+	} else {
+		sched, err = planStream(*specName, *qps, pool, workload.Queries(w.History), *duration, *workers)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if *record != "" {
+		if err := workloadgen.WriteTrace(*record, sched, w.DS.Meta); err != nil {
 			fatal(err)
 		}
-	case *specName != "":
-		spec, err := loadSpecArg(*specName)
-		if err != nil {
-			fatal(err)
-		}
-		// Query shapes track the dataset's historical workload, so the
-		// replayed stream presents the mix the estimator trained under.
-		shapes := workloadgen.FitShapes(workload.Queries(w.History))
-		sched, err = workloadgen.Generate(spec, pool, shapes, *duration, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		if *record != "" {
-			if err := workloadgen.WriteTrace(*record, sched, w.DS.Meta); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "loadgen: recorded %d arrivals / %d clients to %s\n",
-				len(sched.Arrivals), len(sched.Clients), *record)
-		}
+		fmt.Fprintf(os.Stderr, "loadgen: recorded %d arrivals / %d clients to %s\n",
+			len(sched.Arrivals), len(sched.Clients), *record)
 	}
 
-	lcfg := loadgen.Config{QPS: *qps, Duration: *duration, Timeout: *timeout}
+	lcfg := loadgen.Config{Timeout: *timeout}
 	var tenants []string
 	for _, id := range strings.Split(*target, ",") {
 		if id = strings.TrimSpace(id); id != "" {
@@ -145,12 +139,15 @@ func main() {
 	}
 	defer rc.Close()
 
+	// A planned population fires under its own identities; a rate-only
+	// run fires under -client.
 	lane := func(id, name string) loadgen.Lane {
-		rt := rc.Target(id)
-		l := loadgen.Lane{Target: name, Est: rt.EstimateContext, Stats: rt.Stats, Queries: clonePool(pool), Config: lcfg}
-		if sched != nil {
-			l.Schedule = sched
-			l.FireAs, l.Stats = fireAs(rc, id, rt)
+		l := loadgen.Lane{Target: name, Schedule: sched, Config: lcfg}
+		if *specName != "" || *replayPath != "" {
+			l.Fire, l.Stats = loadgen.ClientFire(rc, id)
+		} else {
+			rt := rc.Target(id)
+			l.Fire, l.Stats = loadgen.CallerFire(rt), rt.Stats
 		}
 		return l
 	}
@@ -163,13 +160,8 @@ func main() {
 		}
 	}
 
-	if sched != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: replaying %q: %d arrivals / %d clients x %d lane(s) to %s over %v\n",
-			sched.Spec.Name, len(sched.Arrivals), len(sched.Clients), len(lanes), *url, *duration)
-	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: offering %.0f qps x %d lane(s) to %s for %v (%d-query pool)\n",
-			*qps, len(lanes), *url, *duration, len(pool))
-	}
+	fmt.Fprintf(os.Stderr, "loadgen: firing %q (mean %.0f qps): %d arrivals / %d clients x %d lane(s) to %s\n",
+		sched.Spec.Name, sched.Spec.Clients.MeanQPS, len(sched.Arrivals), len(sched.Clients), len(lanes), *url)
 	ledger := loadgen.RunLanes(ctx, lanes)
 
 	enc := json.NewEncoder(os.Stdout)
@@ -218,58 +210,25 @@ func main() {
 	}
 }
 
-// fireAs routes a planned client identity onto the wire: one routed
-// target per identity (lazily, they share the HTTP pool) so the server
-// sees X-Pace-Client per planned client, not one monolithic generator.
-// The returned stats func sums the wire counters across every identity
-// so the lane's byte/codec columns cover the whole population.
-func fireAs(rc *remote.Client, tenant string, fallback *remote.RemoteTarget) (loadgen.Fire, func() remote.Stats) {
-	var (
-		mu      sync.Mutex
-		targets = map[string]*remote.RemoteTarget{}
-	)
-	fire := func(ctx context.Context, client string, q *query.Query) (float64, error) {
-		if client == "" {
-			return fallback.EstimateContext(ctx, q)
-		}
-		mu.Lock()
-		rt, ok := targets[client]
-		if !ok {
-			rt = rc.TargetAs(tenant, client)
-			targets[client] = rt
-		}
-		mu.Unlock()
-		return rt.EstimateContext(ctx, q)
+// planStream plans the run's stream over the horizon: the -spec
+// workload (a built-in profile name or a JSON file), or without one the
+// uniform built-in at qps. Query shapes track the dataset's historical
+// workload, so the stream presents the mix the estimator trained under.
+func planStream(specArg string, qps float64, pool, history []*query.Query, horizon time.Duration, workers int) (*loadgen.Schedule, error) {
+	name := specArg
+	if name == "" {
+		name = "uniform"
 	}
-	stats := func() remote.Stats {
-		sum := fallback.Stats()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, rt := range targets {
-			s := rt.Stats()
-			sum.Requests += s.Requests
-			sum.Queries += s.Queries
-			sum.Coalesced += s.Coalesced
-			sum.Overloaded += s.Overloaded
-			sum.Invalid += s.Invalid
-			sum.Unavailable += s.Unavailable
-			sum.BytesOut += s.BytesOut
-			sum.BytesIn += s.BytesIn
-			if s.Codec != sum.Codec {
-				sum.Codec = s.Codec // a downgraded identity taints the lane
-			}
+	spec, err := workloadgen.Builtin(name)
+	if err != nil {
+		if spec, err = workloadgen.LoadSpec(name); err != nil {
+			return nil, err
 		}
-		return sum
 	}
-	return fire, stats
-}
-
-// loadSpecArg resolves -spec: a built-in profile name or a JSON file.
-func loadSpecArg(arg string) (workloadgen.Spec, error) {
-	if spec, err := workloadgen.Builtin(arg); err == nil {
-		return spec, nil
+	if specArg == "" {
+		spec.Clients.MeanQPS = qps
 	}
-	return workloadgen.LoadSpec(arg)
+	return workloadgen.Generate(spec, pool, workloadgen.FitShapes(history), horizon, workers)
 }
 
 // loadReport reads a recorded report for calibration: either a flat
@@ -290,12 +249,6 @@ func loadReport(path string) (loadgen.Report, error) {
 		return loadgen.Report{}, fmt.Errorf("loadgen: %s is not a recorded report: %w", path, err)
 	}
 	return rep, nil
-}
-
-// clonePool gives each lane its own query slice so lanes never share
-// iteration state (the queries themselves are immutable).
-func clonePool(pool []*query.Query) []*query.Query {
-	return append([]*query.Query(nil), pool...)
 }
 
 func fatal(err error) {

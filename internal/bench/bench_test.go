@@ -6,11 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pace/internal/experiments"
 	"pace/internal/router"
 	"pace/internal/targetserver"
 	"pace/internal/tenant"
+	"pace/internal/workload"
+	"pace/internal/workloadgen"
 )
 
 func attackRecord(cell string, thr, deg float64) Record {
@@ -362,7 +365,7 @@ func TestBuiltinSuitesValidate(t *testing.T) {
 }
 
 // TestWorkloadLoadCell: a load cell with a workload spec replays the
-// planned bursty stream instead of the uniform loop, and the record
+// planned bursty stream instead of the uniform one, and the record
 // carries the arrival ledger plus per-SLO-class columns.
 func TestWorkloadLoadCell(t *testing.T) {
 	s := Suite{
@@ -400,5 +403,48 @@ func TestWorkloadLoadCell(t *testing.T) {
 	if recs2[0].Offered != rec.Offered {
 		t.Fatalf("planned arrivals not deterministic: %d vs %d (workers=4)",
 			recs2[0].Offered, rec.Offered)
+	}
+}
+
+// TestUniformLoadCellOffersItsPlan: a load cell without a workload
+// plans the "uniform" built-in at the cell's rate and offers every
+// planned arrival, even at 2000 qps, beyond what a timer firing once
+// per millisecond can sustain. The plan is rebuilt here from the same
+// spec, seed, pool and horizon, so the counts must match exactly.
+func TestUniformLoadCellOffersItsPlan(t *testing.T) {
+	s := Suite{
+		Name: "rate", Seed: 1,
+		Scale: 0.02, TrainQueries: 60, TestQueries: 20, Epochs: 5, NumPoison: 10,
+		Cells: []Cell{
+			{Kind: "load", Dataset: "dmv", Model: "linear", QPS: 2000, DurationSec: 1},
+		},
+	}
+	recs, err := RunSuite(context.Background(), s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := recs[0]
+
+	w, err := experiments.NewWorld("dmv", s.Config(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workloadgen.Builtin("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = s.Seed*rowSeedK + 1 // the first cell's offset
+	spec.Clients.MeanQPS = 2000
+	sched, err := workloadgen.Generate(spec, workload.Queries(w.Test),
+		workloadgen.FitShapes(workload.Queries(w.History)), time.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Offered != int64(len(sched.Arrivals)) {
+		t.Fatalf("offered %d arrivals, the uniform plan has %d", rec.Offered, len(sched.Arrivals))
+	}
+	if rec.Offered != rec.Sent+rec.ClientDropped {
+		t.Fatalf("arrival ledger broken: offered %d sent %d dropped %d",
+			rec.Offered, rec.Sent, rec.ClientDropped)
 	}
 }

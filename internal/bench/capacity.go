@@ -12,15 +12,15 @@ import (
 	"pace/internal/targetserver"
 	"pace/internal/tenant"
 	"pace/internal/wire"
-	"pace/internal/workload"
 )
 
 // capacityCell sweeps fleet capacity: for each node count it boots that
 // many in-process paced backends behind a pacerouter, provisions one
-// tenant per node, offers each tenant the cell's rate concurrently, and
-// records tenants hosted plus aggregate admitted throughput. The sweep
-// is self-contained — it ignores Options.TargetURL and builds its own
-// fleet, so the 1→2→4 scaling row is reproducible anywhere.
+// tenant per node, fires the cell's planned stream at every tenant
+// concurrently, and records tenants hosted plus aggregate admitted
+// throughput. The sweep is self-contained — it ignores
+// Options.TargetURL and builds its own fleet, so the 1→2→4 scaling row
+// is reproducible anywhere.
 func (r *runner) capacityCell(ctx context.Context, c Cell, off int64) ([]Record, error) {
 	model := c.Model
 	if model == "" {
@@ -39,21 +39,17 @@ func (r *runner) capacityCell(ctx context.Context, c Cell, off int64) ([]Record,
 		dur = 4 * time.Second
 	}
 
-	// A workload-shaped sweep plans one stream and offers it to every
-	// tenant lane — per-lane firing identities keep the server's view
-	// per-client, and equal plans keep the scaling row comparable.
-	var sched *loadgen.Schedule
-	if c.Workload != "" {
-		w, err := r.world(ds)
-		if err != nil {
-			return nil, err
-		}
-		wc := c
-		wc.QPS = qps
-		sched, err = r.cellSchedule(wc, w, off, dur)
-		if err != nil {
-			return nil, err
-		}
+	// The sweep plans one stream and offers it to every tenant lane:
+	// equal plans keep the scaling row comparable.
+	w, err := r.world(ds)
+	if err != nil {
+		return nil, err
+	}
+	wc := c
+	wc.QPS = qps
+	sched, err := r.cellSchedule(wc, w, off, dur)
+	if err != nil {
+		return nil, err
 	}
 
 	var out []Record
@@ -61,7 +57,7 @@ func (r *runner) capacityCell(ctx context.Context, c Cell, off int64) ([]Record,
 		if n <= 0 {
 			return nil, fmt.Errorf("bench: capacity cell %q has node count %d", c.ID(), n)
 		}
-		rec, err := r.capacityPoint(ctx, c, ds, model, n, qps, dur, sched)
+		rec, err := r.capacityPoint(ctx, c, ds, model, n, sched)
 		if err != nil {
 			return out, fmt.Errorf("nodes=%d: %w", n, err)
 		}
@@ -70,7 +66,7 @@ func (r *runner) capacityCell(ctx context.Context, c Cell, off int64) ([]Record,
 	return out, nil
 }
 
-func (r *runner) capacityPoint(ctx context.Context, c Cell, ds, model string, n int, qps float64, dur time.Duration, sched *loadgen.Schedule) (Record, error) {
+func (r *runner) capacityPoint(ctx context.Context, c Cell, ds, model string, n int, sched *loadgen.Schedule) (Record, error) {
 	factory := experiments.TenantFactory(r.cfg)
 
 	var urls []string
@@ -112,10 +108,6 @@ func (r *runner) capacityPoint(ctx context.Context, c Cell, ds, model string, n 
 	}
 	defer client.Close()
 	admin := client.Admin()
-	w, err := r.world(ds)
-	if err != nil {
-		return Record{}, err
-	}
 	var lanes []loadgen.Lane
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("cap-%d-%d", n, i)
@@ -125,18 +117,8 @@ func (r *runner) capacityPoint(ctx context.Context, c Cell, ds, model string, n 
 		}); err != nil {
 			return Record{}, fmt.Errorf("provisioning %s: %w", id, err)
 		}
-		t := client.Target(id)
-		lane := loadgen.Lane{
-			Target:  id,
-			Est:     t.EstimateContext,
-			Stats:   t.Stats,
-			Queries: workload.Queries(w.Test),
-			Config:  loadgen.Config{QPS: qps, Duration: dur},
-		}
-		if sched != nil {
-			lane.Schedule = sched
-			lane.FireAs, lane.Stats = fireVia(client, id, t)
-		}
+		lane := loadgen.Lane{Target: id, Schedule: sched}
+		lane.Fire, lane.Stats = laneFire(c, client, id)
 		lanes = append(lanes, lane)
 	}
 

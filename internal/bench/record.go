@@ -47,7 +47,7 @@ type Record struct {
 	Codec string `json:"codec,omitempty"`
 	// Workload names the planned stream of a workload-shaped load or
 	// capacity cell (a built-in profile or spec file); empty means the
-	// uniform open loop.
+	// "uniform" built-in.
 	Workload string `json:"workload,omitempty"`
 	// Nodes is the fleet size of a capacity cell.
 	Nodes int `json:"nodes,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -340,9 +341,8 @@ func (r *runner) attackCell(ctx context.Context, c Cell, off int64) (Record, err
 	return rec, nil
 }
 
-// loadCell replays the dataset's test workload at the cell's offered
-// rate — a uniform open loop, or (with Workload set) a planned
-// workloadgen stream at the same mean rate — and records what the
+// loadCell fires the cell's planned stream at its mean rate — the
+// uniform built-in, or the cell's Workload — and records what the
 // target did with it.
 func (r *runner) loadCell(ctx context.Context, c Cell, off int64) (Record, error) {
 	typ, err := ce.ParseType(c.Model)
@@ -353,26 +353,21 @@ func (r *runner) loadCell(ctx context.Context, c Cell, off int64) (Record, error
 	if err != nil {
 		return Record{}, err
 	}
-	qs := workload.Queries(w.Test)
-	lcfg := loadgen.Config{QPS: c.QPS, Duration: time.Duration(c.DurationSec * float64(time.Second))}
+	dur := time.Duration(c.DurationSec * float64(time.Second))
+	if dur <= 0 {
+		dur = 10 * time.Second
+	}
+	sched, err := r.cellSchedule(c, w, off, dur)
+	if err != nil {
+		return Record{}, err
+	}
 
 	rec := Record{
 		Cell: c.ID(), Kind: "load", Seed: r.cfg.Seed,
 		Dataset: c.Dataset, Model: c.Model, Faults: c.Faults, Codec: "local",
 		Workload: c.Workload,
 	}
-	lane := loadgen.Lane{Target: c.ID(), Queries: qs, Config: lcfg}
-	if c.Workload != "" {
-		dur := lcfg.Duration
-		if dur <= 0 {
-			dur = 10 * time.Second
-		}
-		sched, err := r.cellSchedule(c, w, off, dur)
-		if err != nil {
-			return Record{}, err
-		}
-		lane.Schedule = sched
-	}
+	lane := loadgen.Lane{Target: c.ID(), Schedule: sched}
 	if r.opts.TargetURL == "" {
 		bb := w.NewBlackBox(typ, off)
 		target := ce.Target(bb)
@@ -383,7 +378,15 @@ func (r *runner) loadCell(ctx context.Context, c Cell, off int64) (Record, error
 			}
 			target = faults.NewInjector(prof, r.cfg.Seed).WrapTarget(bb)
 		}
-		lane.Est = target.EstimateContext
+		// The in-process estimator is not safe for concurrent use, so
+		// its calls queue on a lock, as they queue on paced's single
+		// model goroutine.
+		var mu sync.Mutex
+		lane.Fire = func(ctx context.Context, _ string, q *query.Query) (float64, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			return target.EstimateContext(ctx, q)
+		}
 	} else {
 		codec := c.Codec
 		if codec == "" {
@@ -407,12 +410,7 @@ func (r *runner) loadCell(ctx context.Context, c Cell, off int64) (Record, error
 			return Record{}, fmt.Errorf("provisioning %s: %w", id, err)
 		}
 		defer admin.DeleteTarget(ctx, id) //nolint:errcheck // best-effort cleanup
-		rt := client.Target(id)
-		lane.Est = rt.EstimateContext
-		lane.Stats = rt.Stats
-		if lane.Schedule != nil {
-			lane.FireAs, lane.Stats = fireVia(client, id, rt)
-		}
+		lane.Fire, lane.Stats = laneFire(c, client, id)
 	}
 
 	start := time.Now()

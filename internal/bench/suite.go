@@ -34,10 +34,10 @@ type Cell struct {
 	// Load-cell knobs.
 	QPS         float64 `json:"qps,omitempty"`
 	DurationSec float64 `json:"duration_sec,omitempty"`
-	// Workload, when set, replaces the uniform open loop of a load or
-	// capacity cell with a planned workloadgen stream (a built-in
-	// profile name like "bursty" or a spec-file path), offered at the
-	// cell's QPS so equal-mean cells stay comparable.
+	// Workload names the workloadgen stream a load or capacity cell
+	// fires (a built-in profile name like "bursty" or a spec-file
+	// path; empty plans the "uniform" built-in), offered at the cell's
+	// QPS so equal-mean cells stay comparable.
 	Workload string `json:"workload,omitempty"`
 
 	// Capacity-cell knob: the fleet sizes to sweep (e.g. [1, 2, 4]).

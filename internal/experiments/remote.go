@@ -105,12 +105,9 @@ func (w *World) NewSurrogateTarget(target ce.Target, typ ce.Type, seedOffset int
 // TargetQErrors evaluates any ce.Target on a labeled workload, mirroring
 // BlackBox.QErrors query by query; against a remote tenant the estimates
 // arrive bit-exactly, so the distribution matches the in-process one.
-// Exported for harnesses (internal/bench) that measure arbitrary targets.
+// Harnesses that measure arbitrary targets (internal/bench, perfbench)
+// call it too.
 func TargetQErrors(ctx context.Context, t ce.Target, qs []*query.Query, cards []float64) ([]float64, error) {
-	return targetQErrors(ctx, t, qs, cards)
-}
-
-func targetQErrors(ctx context.Context, t ce.Target, qs []*query.Query, cards []float64) ([]float64, error) {
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		est, err := t.EstimateContext(ctx, q)
@@ -195,7 +192,7 @@ func RunMatrixRemote(name string, models []ce.Type, cfg Config, baseURL string, 
 
 		var sur *ce.Estimator
 		rowErrs[mi] = provision(fmt.Sprintf("mx-%s-%s-clean", name, slug), typ, off, func(t ce.Target) error {
-			qerrs, err := targetQErrors(ctx, t, qs, cards)
+			qerrs, err := TargetQErrors(ctx, t, qs, cards)
 			if err != nil {
 				return err
 			}
@@ -221,7 +218,7 @@ func RunMatrixRemote(name string, models []ce.Type, cfg Config, baseURL string, 
 				if err := t.ExecuteWorkload(ctx, pq, pc); err != nil {
 					return err
 				}
-				qerrs, err := targetQErrors(ctx, t, qs, cards)
+				qerrs, err := TargetQErrors(ctx, t, qs, cards)
 				if err != nil {
 					return err
 				}

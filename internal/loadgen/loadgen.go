@@ -1,47 +1,37 @@
-// Package loadgen replays a query workload against an estimator target
-// and reports what the service did with it: latency percentiles for
-// served requests, how much was shed (429) and how much failed
-// outright. It drives the target open-loop — requests fire on schedule
-// whether or not earlier ones returned — because that is the arrival
-// process a shedding server must survive: a closed-loop client would
-// politely slow down exactly when the test should hurt.
+// Package loadgen fires a planned request stream against an estimator
+// target and reports what the service did with it: latency percentiles
+// for served requests, how much was shed (429) and how much failed
+// outright. It drives the target open-loop — every arrival fires at its
+// planned offset whether or not earlier requests returned — because
+// that is the arrival process a shedding server must survive: a
+// closed-loop client would politely slow down exactly when the test
+// should hurt.
 //
-// Two firing modes share one outcome ledger:
-//
-//   - Run offers a fixed uniform rate (the classic constant-QPS loop);
-//   - RunSchedule fires a pre-planned workloadgen.Schedule — skewed
-//     clients, bursty interarrivals, per-arrival SLO classes — and the
-//     Report additionally splits outcomes per SLO class and per client.
+// There is one firing loop, RunSchedule, and it fires a
+// workloadgen.Schedule. A rate-only run is the built-in "uniform" spec
+// (one client, Poisson arrivals at the asked mean rate); a realistic
+// run is any other spec — skewed clients, bursty interarrivals,
+// per-arrival SLO classes. Either way the Report splits outcomes per
+// SLO class and per planned client, and Offered counts every planned
+// arrival, so a report never claims a rate it did not offer. Arrivals
+// the loop falls behind on fire at once; arrivals over the in-flight
+// cap are booked as client drops.
 package loadgen
 
 import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pace/internal/ce"
 	"pace/internal/metrics"
-	"pace/internal/query"
 	"pace/internal/remote"
 )
 
-// Estimate is the probe the generator fires: one estimate call against
-// the target under test.
-type Estimate func(ctx context.Context, q *query.Query) (float64, error)
-
-// Config shapes one load run.
+// Config bounds the requests of one load run; the schedule defines
+// their timing and the run's horizon.
 type Config struct {
-	// QPS is the offered request rate (required, > 0 for Run; ignored
-	// by RunSchedule, where the schedule defines the timing). The
-	// usable ceiling is bounded by the scheduler tick: intervals
-	// truncate at 1ns, so rates beyond ~1e9 QPS all collapse to
-	// back-to-back ticks rather than panicking.
-	QPS float64
-	// Duration is how long to offer load (default 10s; ignored by
-	// RunSchedule, which runs to the end of its schedule).
-	Duration time.Duration
 	// Timeout bounds each request (default 5s); a request that exceeds
 	// it counts as an error, not a success with huge latency.
 	Timeout time.Duration
@@ -52,9 +42,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Duration <= 0 {
-		c.Duration = 10 * time.Second
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
@@ -129,9 +116,11 @@ type Report struct {
 	// only helps if rejection is much cheaper than service.
 	ShedMsP99 float64 `json:"shed_ms_p99"`
 
-	// Classes and Clients split the ledger per SLO class and per client
-	// identity. Filled by RunSchedule (the uniform Run has no class or
-	// client structure to split on).
+	// Classes and Clients split the ledger per SLO class and per
+	// planned client (the schedule's roster ids, such as "c000"). A
+	// rate-only run plans the one-client "uniform" spec, so it carries
+	// one "default" class and one client even when every request fired
+	// under the caller's own identity.
 	Classes map[string]ClassReport  `json:"classes,omitempty"`
 	Clients map[string]ClientReport `json:"clients,omitempty"`
 
@@ -192,18 +181,29 @@ type collector struct {
 	clients   map[string]*ClientReport
 }
 
-// record books one completed request. class and client are "" for the
-// uniform loop (no splits).
+// record books one completed request of a client whose arrival is
+// already booked.
 func (c *collector) record(out outcome, ms float64, class, client string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ca, cl := c.classes[class], c.clients[client]
+	ca.rep.Sent++
+	cl.Sent++
 	switch out {
 	case outOK:
 		c.rep.OK++
 		c.latencies = append(c.latencies, ms)
+		ca.rep.OK++
+		ca.latencies = append(ca.latencies, ms)
+		cl.OK++
+		return
 	case outShed:
 		c.rep.Shed++
 		c.shedLats = append(c.shedLats, ms)
+		ca.rep.Shed++
+		ca.shedLats = append(ca.shedLats, ms)
+		cl.Shed++
+		return
 	case outInvalid:
 		c.rep.Invalid++
 	case outUnavailable:
@@ -211,84 +211,41 @@ func (c *collector) record(out outcome, ms float64, class, client string) {
 	case outError:
 		c.rep.Errors++
 	}
-	if class != "" {
-		ca := c.classAcc(class)
-		ca.rep.Sent++
-		switch out {
-		case outOK:
-			ca.rep.OK++
-			ca.latencies = append(ca.latencies, ms)
-		case outShed:
-			ca.rep.Shed++
-			ca.shedLats = append(ca.shedLats, ms)
-		default:
-			ca.rep.Errors++
-		}
-	}
-	if client != "" {
-		cl := c.clientAcc(client)
-		cl.Sent++
-		switch out {
-		case outOK:
-			cl.OK++
-		case outShed:
-			cl.Shed++
-		default:
-			cl.Errors++
-		}
-	}
+	ca.rep.Errors++
+	cl.Errors++
 }
 
 // arrival books one planned arrival and whether it was dropped at the
 // in-flight cap (one arrival, one outcome: dropped arrivals never also
-// count as sent).
+// count as sent). A client's first arrival opens its split, stamped
+// with the client's planned class.
 func (c *collector) arrival(dropped bool, class, client string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rep.Offered++
-	if dropped {
-		c.rep.ClientDropped++
-	} else {
-		c.rep.Sent++
-	}
-	if class != "" {
-		ca := c.classAcc(class)
-		ca.rep.Offered++
-		if dropped {
-			ca.rep.ClientDropped++
-		}
-	}
-	if client != "" {
-		cl := c.clientAcc(client)
-		cl.Offered++
-		if dropped {
-			cl.ClientDropped++
-		}
-	}
-}
-
-func (c *collector) classAcc(class string) *classAcc {
 	if c.classes == nil {
 		c.classes = make(map[string]*classAcc)
+		c.clients = make(map[string]*ClientReport)
 	}
 	ca := c.classes[class]
 	if ca == nil {
 		ca = &classAcc{}
 		c.classes[class] = ca
 	}
-	return ca
-}
-
-func (c *collector) clientAcc(client string) *ClientReport {
-	if c.clients == nil {
-		c.clients = make(map[string]*ClientReport)
-	}
 	cl := c.clients[client]
 	if cl == nil {
-		cl = &ClientReport{}
+		cl = &ClientReport{Class: class}
 		c.clients[client] = cl
 	}
-	return cl
+	c.rep.Offered++
+	ca.rep.Offered++
+	cl.Offered++
+	if dropped {
+		c.rep.ClientDropped++
+		ca.rep.ClientDropped++
+		cl.ClientDropped++
+	} else {
+		c.rep.Sent++
+	}
 }
 
 // finish computes the derived columns and returns the report.
@@ -328,85 +285,23 @@ func (c *collector) finish(targetQPS float64, elapsed time.Duration) Report {
 	return rep
 }
 
-// Run offers cfg.QPS of estimate traffic over the queries (round-robin)
-// for cfg.Duration, then waits for stragglers and reports. ctx cancels
-// the run early.
-func Run(ctx context.Context, est Estimate, queries []*query.Query, cfg Config) Report {
-	cfg = cfg.withDefaults()
-	interval := time.Duration(float64(time.Second) / cfg.QPS)
-	// Clamp: above ~1e9 QPS the computed tick truncates to zero, and
-	// time.NewTicker panics on non-positive intervals. 1ns is the
-	// effective rate ceiling — ticks then fire back to back and the
-	// achieved rate is whatever the host can schedule.
-	if interval < time.Nanosecond {
-		interval = time.Nanosecond
-	}
-	deadline := time.Now().Add(cfg.Duration)
-
-	var (
-		col      collector
-		inFlight atomic.Int64
-		wg       sync.WaitGroup
-	)
-
-	start := time.Now()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	i := 0
-loop:
-	for time.Now().Before(deadline) {
-		select {
-		case <-ctx.Done():
-			break loop
-		case <-ticker.C:
-		}
-		q := queries[i%len(queries)]
-		i++
-		dropped := inFlight.Load() >= int64(cfg.MaxInFlight)
-		col.arrival(dropped, "", "")
-		if dropped {
-			continue
-		}
-		inFlight.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer inFlight.Add(-1)
-			rctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
-			defer cancel()
-			t0 := time.Now()
-			_, err := est(rctx, q)
-			ms := float64(time.Since(t0).Microseconds()) / 1e3
-			col.record(classify(err), ms, "", "")
-		}()
-	}
-	wg.Wait()
-	return col.finish(cfg.QPS, time.Since(start))
-}
-
-// Lane is one tenant's traffic stream in a multi-tenant run: its own
-// estimate function (routed at that tenant), query pool and offered
-// rate.
+// Lane is one tenant's traffic stream in a multi-tenant run: the
+// planned stream it offers and how each arrival reaches the tenant.
 type Lane struct {
 	// Target names the lane in the ledger (the tenant id).
 	Target string
-	// Est fires one estimate against the lane's tenant.
-	Est Estimate
-	// Stats, when set, snapshots the lane's wire counters (normally the
-	// RemoteTarget.Stats method behind Est); the lane's Report then
-	// carries the codec and byte columns as the delta across the run.
+	// Fire fires one estimate at the lane's tenant, either under the
+	// planned client identity (ClientFire) or under the caller's own
+	// (CallerFire).
+	Fire Fire
+	// Stats, when set, snapshots the lane's wire counters; the lane's
+	// Report then carries the codec and byte columns as the delta
+	// across the run.
 	Stats func() remote.Stats
-	// Queries is the lane's replayed pool.
-	Queries []*query.Query
-	// Config shapes the lane's offered load.
-	Config Config
-	// Schedule, when set, replaces the uniform loop: the lane fires
-	// this planned stream (RunSchedule) and FireAs routes per-client
-	// identities. Queries and Config.QPS are ignored.
+	// Schedule is the planned stream the lane fires (required).
 	Schedule *Schedule
-	// FireAs fires one estimate under a client identity; nil lanes
-	// fall back to Est for every client.
-	FireAs Fire
+	// Config bounds the lane's requests.
+	Config Config
 }
 
 // Ledger is the per-tenant outcome of a multi-tenant run: one Report per
@@ -514,8 +409,8 @@ func mergeClient(a, b ClientReport) ClientReport {
 	return a
 }
 
-// RunLanes offers every lane's load concurrently against its own tenant
-// and collects the per-tenant ledger. ctx cancels all lanes.
+// RunLanes fires every lane's schedule concurrently against its own
+// tenant and collects the per-tenant ledger. ctx cancels all lanes.
 func RunLanes(ctx context.Context, lanes []Lane) Ledger {
 	reports := make([]Report, len(lanes))
 	var wg sync.WaitGroup
@@ -527,18 +422,7 @@ func RunLanes(ctx context.Context, lanes []Lane) Ledger {
 			if lane.Stats != nil {
 				before = lane.Stats()
 			}
-			var rep Report
-			if lane.Schedule != nil {
-				fire := lane.FireAs
-				if fire == nil {
-					fire = func(ctx context.Context, _ string, q *query.Query) (float64, error) {
-						return lane.Est(ctx, q)
-					}
-				}
-				rep = RunSchedule(ctx, fire, lane.Schedule, lane.Config)
-			} else {
-				rep = Run(ctx, lane.Est, lane.Queries, lane.Config)
-			}
+			rep := RunSchedule(ctx, lane.Fire, lane.Schedule, lane.Config)
 			if lane.Stats != nil {
 				after := lane.Stats()
 				rep.Codec = after.Codec

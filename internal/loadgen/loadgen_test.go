@@ -11,6 +11,7 @@ import (
 	"pace/internal/ce"
 	"pace/internal/query"
 	"pace/internal/remote"
+	"pace/internal/workloadgen"
 )
 
 func testQueries() []*query.Query {
@@ -24,13 +25,29 @@ func testQueries() []*query.Query {
 	return []*query.Query{q}
 }
 
-// TestRunAccountsEveryOutcome drives the generator against a fake target
+// uniformSchedule plans the "uniform" built-in — one Poisson client —
+// at qps over the horizon: the stream of every rate-only run.
+func uniformSchedule(t *testing.T, qps float64, horizon time.Duration) *Schedule {
+	t.Helper()
+	spec, err := workloadgen.Builtin("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Clients.MeanQPS = qps
+	sched, err := workloadgen.Generate(spec, testQueries(), nil, horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
+// TestRunAccountsEveryOutcome fires a uniform schedule at a fake target
 // that answers with a fixed outcome mix and checks the report's ledger:
 // every sent request lands in exactly one bucket, and each classified
 // error reaches its own tally.
 func TestRunAccountsEveryOutcome(t *testing.T) {
 	var n atomic.Int64
-	est := func(ctx context.Context, q *query.Query) (float64, error) {
+	fire := func(ctx context.Context, _ string, q *query.Query) (float64, error) {
 		switch n.Add(1) % 6 {
 		case 0:
 			return 0, fmt.Errorf("shed: %w", remote.ErrOverloaded)
@@ -44,11 +61,8 @@ func TestRunAccountsEveryOutcome(t *testing.T) {
 			return 42, nil
 		}
 	}
-	rep := Run(context.Background(), est, testQueries(), Config{
-		QPS:      2000,
-		Duration: 200 * time.Millisecond,
-		Timeout:  time.Second,
-	})
+	rep := RunSchedule(context.Background(), fire, uniformSchedule(t, 2000, 200*time.Millisecond),
+		Config{Timeout: time.Second})
 
 	if rep.Sent == 0 {
 		t.Fatal("no requests sent")
@@ -87,13 +101,11 @@ func TestRunAccountsEveryOutcome(t *testing.T) {
 // trip the in-flight cap, and the capped sends count as client drops —
 // the offered schedule never blocks on a slow server.
 func TestRunCapsInFlight(t *testing.T) {
-	est := func(ctx context.Context, q *query.Query) (float64, error) {
+	fire := func(ctx context.Context, _ string, q *query.Query) (float64, error) {
 		<-ctx.Done() // hold the slot until the per-request timeout
 		return 0, ctx.Err()
 	}
-	rep := Run(context.Background(), est, testQueries(), Config{
-		QPS:         2000,
-		Duration:    150 * time.Millisecond,
+	rep := RunSchedule(context.Background(), fire, uniformSchedule(t, 2000, 150*time.Millisecond), Config{
 		Timeout:     500 * time.Millisecond,
 		MaxInFlight: 8,
 	})
@@ -112,17 +124,15 @@ func TestRunCapsInFlight(t *testing.T) {
 	}
 }
 
-// TestRunHonorsCancel: cancelling the run context stops offering load
-// well before the configured duration.
+// TestRunHonorsCancel: a long rate-only run cancelled early returns
+// promptly, with what it fired before the cancel on the ledger.
 func TestRunHonorsCancel(t *testing.T) {
+	sched := uniformSchedule(t, 500, 30*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
-	est := func(ctx context.Context, q *query.Query) (float64, error) { return 1, nil }
+	fire := func(ctx context.Context, _ string, q *query.Query) (float64, error) { return 1, nil }
 	start := time.Now()
-	rep := Run(ctx, est, testQueries(), Config{
-		QPS:      500,
-		Duration: 30 * time.Second,
-	})
+	rep := RunSchedule(ctx, fire, sched, Config{})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("run survived cancel for %v", elapsed)
 	}
@@ -131,16 +141,29 @@ func TestRunHonorsCancel(t *testing.T) {
 	}
 }
 
-// TestRunClampsExtremeQPS: a QPS high enough to truncate the tick to
-// zero must clamp to the 1ns floor instead of panicking time.NewTicker.
+// TestRunClampsExtremeQPS: a rate too high to plan is refused up front
+// rather than silently clamped, and a plannable rate far beyond what
+// the host can fire still offers every planned arrival — late arrivals
+// fire at once instead of being lost.
 func TestRunClampsExtremeQPS(t *testing.T) {
-	est := func(ctx context.Context, q *query.Query) (float64, error) { return 1, nil }
-	rep := Run(context.Background(), est, testQueries(), Config{
-		QPS:      5e9, // tick would truncate to 0ns
-		Duration: 20 * time.Millisecond,
-	})
-	if rep.Offered == 0 {
-		t.Error("clamped run offered nothing")
+	spec, err := workloadgen.Builtin("uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Clients.MeanQPS = 5e9
+	if _, err := workloadgen.Generate(spec, testQueries(), nil, 20*time.Millisecond, 0); err == nil {
+		t.Error("5e9 qps over 20ms planned, want the arrival-cap refusal")
+	}
+
+	sched := uniformSchedule(t, 1e7, time.Millisecond)
+	fire := func(ctx context.Context, _ string, q *query.Query) (float64, error) { return 1, nil }
+	rep := RunSchedule(context.Background(), fire, sched, Config{})
+	if rep.Offered == 0 || rep.Offered != int64(len(sched.Arrivals)) {
+		t.Errorf("offered %d of %d planned arrivals", rep.Offered, len(sched.Arrivals))
+	}
+	if rep.Offered != rep.Sent+rep.ClientDropped {
+		t.Errorf("arrival double-booked: offered %d != sent %d + dropped %d",
+			rep.Offered, rep.Sent, rep.ClientDropped)
 	}
 }
 

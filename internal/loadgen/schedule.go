@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pace/internal/ce"
 	"pace/internal/query"
+	"pace/internal/remote"
 	"pace/internal/workloadgen"
 )
 
@@ -14,18 +16,74 @@ import (
 // naturally without every caller importing both packages.
 type Schedule = workloadgen.Schedule
 
-// Fire fires one estimate under a client identity (sent as
-// X-Pace-Client, so the server's per-client token buckets see the
-// planned population, not one monolithic load generator).
+// Fire fires one estimate on behalf of a planned client. A Fire may
+// send the client id as X-Pace-Client (ClientFire), so the server's
+// per-client token buckets see the planned population, or ignore it
+// (CallerFire).
 type Fire func(ctx context.Context, client string, q *query.Query) (float64, error)
 
+// CallerFire fires every arrival at t under the caller's own identity,
+// ignoring the planned client id: the fire of rate-only runs and of
+// in-process targets, which have no per-client identity to present.
+func CallerFire(t ce.Target) Fire {
+	return func(ctx context.Context, _ string, q *query.Query) (float64, error) {
+		return t.EstimateContext(ctx, q)
+	}
+}
+
+// ClientFire routes each planned client identity at one tenant of rc:
+// one routed target per identity (created lazily; they share rc's
+// connection pool), so the server sees X-Pace-Client per planned
+// client rather than one monolithic generator. The stats func sums the
+// wire counters across every identity, so the lane's byte and codec
+// columns cover the whole population; an identity downgraded to JSON
+// by a 415 taints the lane's codec.
+func ClientFire(rc *remote.Client, tenant string) (Fire, func() remote.Stats) {
+	var (
+		mu      sync.Mutex
+		targets = map[string]*remote.RemoteTarget{}
+	)
+	// An unused target reports the configured codec and zero counters.
+	configured := rc.Target(tenant).Stats().Codec
+	fire := func(ctx context.Context, client string, q *query.Query) (float64, error) {
+		mu.Lock()
+		rt, ok := targets[client]
+		if !ok {
+			rt = rc.TargetAs(tenant, client)
+			targets[client] = rt
+		}
+		mu.Unlock()
+		return rt.EstimateContext(ctx, q)
+	}
+	stats := func() remote.Stats {
+		sum := remote.Stats{Codec: configured}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, rt := range targets {
+			s := rt.Stats()
+			sum.Requests += s.Requests
+			sum.Queries += s.Queries
+			sum.Coalesced += s.Coalesced
+			sum.Overloaded += s.Overloaded
+			sum.Invalid += s.Invalid
+			sum.Unavailable += s.Unavailable
+			sum.BytesOut += s.BytesOut
+			sum.BytesIn += s.BytesIn
+			if s.Codec != configured {
+				sum.Codec = s.Codec
+			}
+		}
+		return sum
+	}
+	return fire, stats
+}
+
 // RunSchedule fires a planned request stream open-loop: every arrival
-// fires at its recorded offset from run start (or immediately once
-// behind schedule), regardless of whether earlier requests returned.
-// The report splits outcomes per SLO class and per client on top of
-// the usual ledger. cfg.QPS and cfg.Duration are ignored — the
-// schedule defines both the timing and the horizon; Timeout and
-// MaxInFlight apply as in Run. ctx cancels the run early.
+// fires at its planned offset from run start (or at once when the loop
+// is behind), whether or not earlier requests returned, and the run
+// ends when the last fired request does. The report splits outcomes
+// per SLO class and per planned client on top of the ledger. ctx
+// cancels the run early.
 func RunSchedule(ctx context.Context, fire Fire, sched *Schedule, cfg Config) Report {
 	cfg = cfg.withDefaults()
 
@@ -75,17 +133,5 @@ loop:
 		}(client, q)
 	}
 	wg.Wait()
-	rep := col.finish(sched.Spec.Clients.MeanQPS, time.Since(start))
-	// Stamp each client's class onto its split (the collector only sees
-	// identities at record time).
-	for name, cl := range rep.Clients {
-		for _, c := range sched.Clients {
-			if c.ID == name {
-				cl.Class = c.Class
-				rep.Clients[name] = cl
-				break
-			}
-		}
-	}
-	return rep
+	return col.finish(sched.Spec.Clients.MeanQPS, time.Since(start))
 }

@@ -118,15 +118,7 @@ func TestRunScheduleSplitsLedger(t *testing.T) {
 
 // TestRunScheduleHonorsCancel: cancelling mid-replay stops the stream.
 func TestRunScheduleHonorsCancel(t *testing.T) {
-	spec, err := workloadgen.Builtin("uniform")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Clients.MeanQPS = 100
-	sched, err := workloadgen.Generate(spec, testQueries(), nil, 30*time.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched := uniformSchedule(t, 100, 30*time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
 	fire := func(ctx context.Context, client string, q *query.Query) (float64, error) { return 1, nil }

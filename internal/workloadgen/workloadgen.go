@@ -216,8 +216,9 @@ func LoadSpec(path string) (Spec, error) {
 // Builtin returns a named built-in spec, the profiles bench cells and
 // quickstarts reference without a spec file:
 //
-//   - "uniform": one client, Poisson arrivals — the open loop the old
-//     loadgen offered, expressed in the new model.
+//   - "uniform": one client, Poisson arrivals — the stream of every
+//     rate-only run (loadgen without -spec, bench cells without a
+//     workload), with MeanQPS set to the asked rate.
 //   - "bursty": 16 zipf-rated clients, gamma(0.5) interarrivals gated
 //     by 1s-on/3s-off burst windows, a 70/30 gold/bronze class mix —
 //     equal mean rate to "uniform", very different peaks.

@@ -161,6 +161,11 @@ func TestGenerateRejectsRunawaySchedules(t *testing.T) {
 	if _, err := Generate(spec, testPool(2), nil, time.Hour, 0); err == nil {
 		t.Error("1e7 qps over an hour generated instead of failing")
 	}
+	// A rate no firing loop can offer is refused up front, not clamped.
+	extreme := Spec{Clients: ClientSpec{N: 1, MeanQPS: 5e9, RateDist: "uniform"}}
+	if _, err := Generate(extreme, testPool(2), nil, 20*time.Millisecond, 0); err == nil {
+		t.Error("5e9 qps over 20ms generated instead of failing")
+	}
 	if _, err := Generate(Spec{}, nil, nil, time.Second, 0); err == nil {
 		t.Error("empty pool generated")
 	}

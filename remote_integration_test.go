@@ -25,6 +25,7 @@ import (
 	"pace/internal/targetserver"
 	"pace/internal/tenant"
 	"pace/internal/workload"
+	"pace/internal/workloadgen"
 )
 
 // newDefaultServer hosts target as the "default" tenant of a paced
@@ -318,13 +319,20 @@ func isolationRun(t *testing.T, seed int64, hammer bool) (*core.Result, float64)
 		}
 		rt := rc.Target("b")
 		defer rt.Close()
+		spec, err := workloadgen.Builtin("uniform")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Clients.MeanQPS = 200
+		// Planned for 10 minutes; canceled when the campaign ends.
+		sched, err := workloadgen.Generate(spec, workload.Queries(w.History), nil, 10*time.Minute, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		lwg.Add(1)
 		go func() {
 			defer lwg.Done()
-			rep = loadgen.Run(lctx, rt.EstimateContext, workload.Queries(w.History), loadgen.Config{
-				QPS:      200,
-				Duration: 10 * time.Minute, // canceled when the campaign ends
-			})
+			rep = loadgen.RunSchedule(lctx, loadgen.CallerFire(rt), sched, loadgen.Config{})
 		}()
 	}
 
