@@ -14,6 +14,7 @@ import (
 type mscn struct {
 	meta    *query.Meta
 	maxAttr int
+	hidden  int // width of the pooled vector, the head's input
 	shared  *nn.MLP
 	head    *nn.MLP
 
@@ -31,7 +32,7 @@ func newMSCN(meta *query.Meta, hp HyperParams, rng *rand.Rand) Model {
 		}
 	}
 	elemDim := meta.NumTables() + 1 + 2*maxAttr
-	m := &mscn{meta: meta, maxAttr: maxAttr}
+	m := &mscn{meta: meta, maxAttr: maxAttr, hidden: hp.Hidden}
 	m.shared = nn.NewMLP("mscn.shared",
 		[]int{elemDim, hp.Hidden, hp.Hidden}, nn.NewReLU, nn.NewReLU, rng)
 	m.head = nn.NewMLP("mscn.head", []int{hp.Hidden, 1}, nil, nn.NewSigmoid, rng)
@@ -75,8 +76,7 @@ func (m *mscn) Forward(v []float64) float64 {
 			m.elems = append(m.elems, m.element(v, t))
 		}
 	}
-	hidden := m.head.Params()[0].Cols
-	pooled := make([]float64, hidden)
+	pooled := make([]float64, m.hidden)
 	if len(m.elems) > 0 {
 		for _, e := range m.elems {
 			nn.AddScaled(pooled, 1.0/float64(len(m.elems)), m.shared.Forward(e))

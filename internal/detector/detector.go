@@ -67,8 +67,12 @@ type Detector struct {
 	enc *nn.MLP // dim → … → 2·latent (μ ‖ logσ²)
 	dec *nn.MLP // latent → … → dim (sigmoid: encodings live in [0,1])
 
-	opt *nn.Adam
-	rng *rand.Rand
+	opt    *nn.Adam
+	rng    *rand.Rand
+	params []*nn.Param // enc then dec, built once
+
+	// trainOne's per-sample scratch, sized once at construction.
+	eps, z, dxhat, dh []float64
 }
 
 // New builds an untrained detector for encodings of the given dimension.
@@ -81,7 +85,12 @@ func New(dim int, cfg Config, rng *rand.Rand) *Detector {
 		[]int{dim, cfg.Hidden, cfg.Hidden, 2 * cfg.Latent}, nn.NewReLU, nil, rng)
 	d.dec = nn.NewMLP("det.dec",
 		[]int{cfg.Latent, cfg.Hidden, cfg.Hidden, dim}, nn.NewReLU, nn.NewSigmoid, rng)
-	d.opt = nn.NewAdam(append(d.enc.Params(), d.dec.Params()...), cfg.LR)
+	d.params = append(d.enc.Params(), d.dec.Params()...)
+	d.opt = nn.NewAdam(d.params, cfg.LR)
+	d.eps = make([]float64, cfg.Latent)
+	d.z = make([]float64, cfg.Latent)
+	d.dxhat = make([]float64, dim)
+	d.dh = make([]float64, 2*cfg.Latent)
 	return d
 }
 
@@ -123,8 +132,7 @@ func (d *Detector) trainOne(v []float64) {
 	h := d.enc.Forward(v)
 	mu, logvar := h[:latent], h[latent:]
 
-	eps := make([]float64, latent)
-	z := make([]float64, latent)
+	eps, z := d.eps, d.z
 	for i := range z {
 		eps[i] = d.rng.NormFloat64()
 		z[i] = mu[i] + eps[i]*math.Exp(0.5*logvar[i])
@@ -132,14 +140,14 @@ func (d *Detector) trainOne(v []float64) {
 	xhat := d.dec.Forward(z)
 
 	// Reconstruction: L = Σ(xhat−v)²/dim.
-	dxhat := make([]float64, d.dim)
+	dxhat := d.dxhat
 	for i := range dxhat {
 		dxhat[i] = 2 * (xhat[i] - v[i]) / float64(d.dim)
 	}
 	dz := d.dec.Backward(dxhat)
 
 	// Reparameterization + KL gradients.
-	dh := make([]float64, 2*latent)
+	dh := d.dh
 	for i := 0; i < latent; i++ {
 		dh[i] = dz[i] + d.cfg.KLWeight*mu[i]
 		dh[latent+i] = dz[i]*eps[i]*0.5*math.Exp(0.5*logvar[i]) +
@@ -174,7 +182,7 @@ func (d *Detector) ReconGrad(v []float64) (float64, []float64) {
 		dxhat[i] = g
 		dv[i] = -g // direct dependence of the loss on v
 	}
-	nn.ZeroGrads(d.paramList())
+	nn.ZeroGrads(d.params)
 	dz := d.dec.Backward(dxhat)
 	dh := make([]float64, 2*d.cfg.Latent)
 	copy(dh, dz) // μ path only; the deterministic pass ignores logσ²
@@ -182,7 +190,7 @@ func (d *Detector) ReconGrad(v []float64) (float64, []float64) {
 	nn.AddScaled(dv, 1, dvEnc)
 	// The detector itself is frozen during confrontation: drop the
 	// parameter gradients this backward pass accumulated.
-	nn.ZeroGrads(d.paramList())
+	nn.ZeroGrads(d.params)
 	return err, dv
 }
 
@@ -198,10 +206,6 @@ func (d *Detector) forwardMu(v []float64) (float64, []float64) {
 		sum += diff * diff
 	}
 	return sum / float64(d.dim), xhat
-}
-
-func (d *Detector) paramList() []*nn.Param {
-	return append(d.enc.Params(), d.dec.Params()...)
 }
 
 // CalibrateThreshold sets ε to the given percentile of the reconstruction

@@ -112,13 +112,13 @@ func TestReconGradDoesNotTouchParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dim := 8
 	d := New(dim, Config{Hidden: 12}, rng)
-	before := nn.FlattenParams(d.paramList())
+	before := nn.FlattenParams(d.params)
 	v := make([]float64, dim)
 	d.ReconGrad(v)
-	if nn.MaxAbsDiff(before, nn.FlattenParams(d.paramList())) != 0 {
+	if nn.MaxAbsDiff(before, nn.FlattenParams(d.params)) != 0 {
 		t.Error("ReconGrad modified detector parameters")
 	}
-	for _, p := range d.paramList() {
+	for _, p := range d.params {
 		for _, g := range p.G {
 			if g != 0 {
 				t.Fatal("ReconGrad left nonzero parameter gradients")
@@ -178,10 +178,10 @@ func TestSetThreshold(t *testing.T) {
 func TestTrainEmptyHistoryIsNoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := New(4, Config{}, rng)
-	before := nn.FlattenParams(d.paramList())
+	before := nn.FlattenParams(d.params)
 	d.Train(nil)
 	d.CalibrateThreshold(nil, 95)
-	if nn.MaxAbsDiff(before, nn.FlattenParams(d.paramList())) != 0 {
+	if nn.MaxAbsDiff(before, nn.FlattenParams(d.params)) != 0 {
 		t.Error("empty training changed parameters")
 	}
 }

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -259,5 +262,179 @@ func TestLargeDatasetCardinalitySmoke(t *testing.T) {
 	want := float64(ds.Tables[ds.TableIndex("lineitem")].Rows)
 	if card != want {
 		t.Errorf("open lineitem⋈orders⋈customer = %g, want %g", card, want)
+	}
+}
+
+// imdbEngine builds an imdb world at the given scale: 21 tables, mostly
+// FK children around one title table, so most joins exercise the
+// FK-child sums.
+func imdbEngine(t testing.TB, scale float64) *Engine {
+	t.Helper()
+	ds, err := dataset.Build("imdb", dataset.Config{Scale: scale, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(ds)
+}
+
+// TestCardinalityBitsMatchReference pins the arena kernel to the
+// mask-based DP it replaced: over thousands of random connected queries,
+// on both join shapes, the two return the same float64 bits.
+func TestCardinalityBitsMatchReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{{"tiny", tinyEngine(t, 13)}, {"imdb", imdbEngine(t, 0.05)}} {
+		rng := rand.New(rand.NewSource(2024))
+		ds := tc.e.Dataset()
+		for i := 0; i < 2000; i++ {
+			q := randomQuery(ds.Meta, ds.Joinable, rng)
+			got, err := tc.e.Cardinality(q)
+			if err != nil {
+				t.Fatalf("%s query %d: %v", tc.name, i, err)
+			}
+			want, _ := refCardinality(tc.e, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s query %d: got %v, reference %v\nSQL: %s",
+					tc.name, i, got, want, q.SQL(ds.Meta))
+			}
+			if tab := rng.Intn(len(ds.Tables)); tc.e.TableCount(tab, q) != countTrue(refSelectMask(tc.e, tab, q)) {
+				t.Fatalf("%s query %d: TableCount(%d) differs from the reference mask", tc.name, i, tab)
+			}
+		}
+	}
+}
+
+// TestCardinalityAfterGrowMatchesReference labels queries, grows the
+// dataset in place (as the drift study does between labeling rounds), and
+// checks that the same engine's answers, now over the grown tables, still
+// carry the reference DP's bits: arena vectors sized for the old row
+// counts must not survive the growth.
+func TestCardinalityAfterGrowMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{{"tiny", tinyEngine(t, 14)}, {"imdb", imdbEngine(t, 0.05)}} {
+		rng := rand.New(rand.NewSource(31))
+		ds := tc.e.Dataset()
+		check := func(stage string) {
+			for i := 0; i < 200; i++ {
+				q := randomQuery(ds.Meta, ds.Joinable, rng)
+				got, err := tc.e.Cardinality(q)
+				if err != nil {
+					t.Fatalf("%s %s query %d: %v", tc.name, stage, i, err)
+				}
+				want, _ := refCardinality(tc.e, q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s query %d: got %v, reference %v\nSQL: %s",
+						tc.name, stage, i, got, want, q.SQL(ds.Meta))
+				}
+			}
+		}
+		check("before growth")
+		ds.Grow(0.3, 0.1, rand.New(rand.NewSource(32)))
+		check("after growth")
+	}
+}
+
+func countTrue(mask []bool) int {
+	n := 0
+	for _, ok := range mask {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCardinalityAllocatesNothing checks the steady state: once the
+// arena has met every table, a call allocates nothing.
+func TestCardinalityAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop arenas at random, so the count is not the normal build's")
+	}
+	e := imdbEngine(t, 0.05)
+	ds := e.Dataset()
+	rng := rand.New(rand.NewSource(5))
+	qs := make([]*query.Query, 32)
+	for i := range qs {
+		qs[i] = randomQuery(ds.Meta, ds.Joinable, rng)
+	}
+	all := query.New(ds.Meta)
+	for tab := range all.Tables {
+		all.Tables[tab] = true
+	}
+	if _, err := e.Cardinality(all); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := e.Cardinality(qs[i%len(qs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Cardinality allocates %v times per call in steady state, want 0", allocs)
+	}
+}
+
+// TestCardinalityConcurrentMatchesSerial shares one Engine between
+// goroutines, as Pool workers do, and checks every answer against the
+// serial one (run under -race, it also checks the arena pool).
+func TestCardinalityConcurrentMatchesSerial(t *testing.T) {
+	e := imdbEngine(t, 0.05)
+	ds := e.Dataset()
+	rng := rand.New(rand.NewSource(8))
+	qs := make([]*query.Query, 200)
+	want := make([]float64, len(qs))
+	for i := range qs {
+		qs[i] = randomQuery(ds.Meta, ds.Joinable, rng)
+		var err error
+		if want[i], err = e.Cardinality(qs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 4
+	errs := make(chan string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range qs {
+				i := (k + g*len(qs)/goroutines) % len(qs)
+				got, err := e.Cardinality(qs[i])
+				if err != nil || math.Float64bits(got) != math.Float64bits(want[i]) {
+					errs <- fmt.Sprintf("goroutine %d query %d: got %v (%v), serial %v", g, i, got, err, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}
+
+// BenchmarkCardinality labels random connected queries over imdb at the
+// campaign benchmark's scale (0.5), the oracle call the attack makes for
+// every generated candidate.
+func BenchmarkCardinality(b *testing.B) {
+	e := imdbEngine(b, 0.5)
+	ds := e.Dataset()
+	rng := rand.New(rand.NewSource(3))
+	qs := make([]*query.Query, 64)
+	for i := range qs {
+		qs[i] = randomQuery(ds.Meta, ds.Joinable, rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Cardinality(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -40,28 +40,63 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // OutSize implements Layer.
 func (d *Dense) OutSize(int) int { return d.W.Rows }
 
-// Forward computes Wx + b.
+// Forward computes Wx + b. It walks four output rows at a time, one
+// accumulator per row, so the rows' dependency chains overlap; each row
+// still sums w[r][c]·x[c] over c = 0…cols-1 in order from +0, exactly as
+// Dot does, so every output keeps its bits.
 func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.W.Cols {
-		panic(fmt.Sprintf("nn: Dense %s input %d, want %d", d.W.Name, len(x), d.W.Cols))
+	cols := d.W.Cols
+	if len(x) != cols {
+		panic(fmt.Sprintf("nn: Dense %s input %d, want %d", d.W.Name, len(x), cols))
 	}
 	d.x = x
+	w, bias := d.W.W, d.B.W
 	out := make([]float64, d.W.Rows)
-	for r := 0; r < d.W.Rows; r++ {
-		row := d.W.W[r*d.W.Cols : (r+1)*d.W.Cols]
-		out[r] = Dot(row, x) + d.B.W[r]
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		// Reslicing to len(x) lets the compiler drop the inner bounds checks.
+		w0 := w[r*cols : (r+1)*cols][:len(x)]
+		w1 := w[(r+1)*cols : (r+2)*cols][:len(x)]
+		w2 := w[(r+2)*cols : (r+3)*cols][:len(x)]
+		w3 := w[(r+3)*cols : (r+4)*cols][:len(x)]
+		var s0, s1, s2, s3 float64
+		for c, xc := range x {
+			s0 += w0[c] * xc
+			s1 += w1[c] * xc
+			s2 += w2[c] * xc
+			s3 += w3[c] * xc
+		}
+		out[r] = s0 + bias[r]
+		out[r+1] = s1 + bias[r+1]
+		out[r+2] = s2 + bias[r+2]
+		out[r+3] = s3 + bias[r+3]
+	}
+	for ; r < len(out); r++ {
+		out[r] = Dot(w[r*cols:(r+1)*cols], x) + bias[r]
 	}
 	return out
 }
 
-// Backward accumulates dL/dW, dL/db and returns dL/dx.
+// Backward accumulates dL/dW, dL/db and returns dL/dx, updating a row's
+// dW and dx in one pass over the columns. Rows whose upstream gradient is
+// exactly ±0 (dead ReLU units, dropped units) are skipped: their terms are
+// ±0 for finite weights and inputs, and adding ±0 to a G, B.G or dx that
+// started at +0 and only ever had terms added never changes its bits
+// under round-to-nearest.
 func (d *Dense) Backward(dy []float64) []float64 {
-	dx := make([]float64, d.W.Cols)
+	cols := d.W.Cols
+	x := d.x[:cols]
+	dx := make([]float64, cols)
 	for r, g := range dy {
-		row := d.W.W[r*d.W.Cols : (r+1)*d.W.Cols]
-		grow := d.W.G[r*d.W.Cols : (r+1)*d.W.Cols]
-		AddScaled(grow, g, d.x)
-		AddScaled(dx, g, row)
+		if g == 0 {
+			continue
+		}
+		row := d.W.W[r*cols : (r+1)*cols][:len(x)]
+		grow := d.W.G[r*cols : (r+1)*cols][:len(x)]
+		for c, xc := range x {
+			grow[c] += g * xc
+			dx[c] += g * row[c]
+		}
 		d.B.G[r] += g
 	}
 	return dx
